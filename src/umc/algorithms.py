@@ -10,12 +10,19 @@ large_mule  size-thresholded variant: shared-neighborhood pre-filtering
 dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks; kept for benchmarking.
 
-All enumerators expect the graph to be alpha-pruned already (see
-graph.prune_by_alpha); drivers prune first.
+mule and large_mule build each root vertex's frame straight from its
+adjacency list, keeping only edges with p >= alpha, and run one
+depth-first search per root; no search step scans vertices outside a
+neighbourhood.  No enumerator needs an alpha-pruned graph for
+correctness.  The CLI still prunes first (graph.prune_by_alpha):
+shared_neighborhood_filter works on structure alone and removes more on
+the pruned graph, and dfs_noip recomputes products over every edge it
+sees.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,11 +120,38 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
 
 
 def _enumerate(g, alpha, sink, *, min_size, check_invariants):
+    """One depth-first search per root vertex u, in ascending order.
+
+    u's frame is built from its sorted adjacency: ext holds the neighbours
+    above u and excl those below, each with its edge probability as the
+    cached factor and only where that is >= alpha.  Every vertex below u
+    that could extend a clique containing u is adjacent to u, so excl holds
+    every witness the search below needs.
+    """
     check_alpha(alpha)
     count = 0
-    # Explicit frame stack: worst-case depth is n, far beyond what native
-    # recursion survives.
-    stack = [_Frame((), 1.0, [(u, 1.0) for u in range(g.n)], [])]
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        split = bisect_left(nbrs, u)
+        ext = [(w, p) for w in nbrs[split:]
+               if (p := g.edge_prob(u, w)) >= alpha]
+        if min_size is not None and 1 + len(ext) < min_size:
+            continue  # no clique containing u as its minimum is large enough
+        excl = [(v, p) for v in nbrs[:split]
+                if (p := g.edge_prob(u, v)) >= alpha]
+        if check_invariants:
+            _check_frame(g, (u,), 1.0, ext, excl, alpha)
+        count += _search(g, _Frame((u,), 1.0, ext, excl), alpha, sink,
+                         min_size=min_size, check_invariants=check_invariants)
+    return count
+
+
+def _search(g, root, alpha, sink, *, min_size, check_invariants):
+    """Emit the alpha-maximal cliques in root's subtree; returns the count."""
+    count = 0
+    # Explicit frame stack: depth reaches the largest clique size, up to n,
+    # far beyond what native recursion survives.
+    stack = [root]
     while stack:
         fr = stack[-1]
         if fr.pending is not None:
@@ -126,9 +160,8 @@ def _enumerate(g, alpha, sink, *, min_size, check_invariants):
             fr.excl.append(fr.pending)
             fr.pending = None
         if fr.i == 0 and not fr.ext and not fr.excl:
-            if fr.clique:
-                sink(Clique(fr.clique, fr.q))
-                count += 1
+            sink(Clique(fr.clique, fr.q))
+            count += 1
             stack.pop()
             continue
         if fr.i >= len(fr.ext):
@@ -251,6 +284,7 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:
     but every candidate's clique probability is recomputed from scratch
     and maximality is decided by a full definition-level check.  Emits the
     same clique set as mule; kept as the performance comparison point.
+    Unlike mule it recurses, one level per vertex of the working clique.
     """
     check_alpha(alpha)
     count = 0

@@ -56,13 +56,46 @@ def test_emissions_are_sound_and_unique(g, alpha):
         assert abs(c.prob - direct) <= 1e-9 * direct
 
 
-@settings(max_examples=60, deadline=None)
-@given(uncertain_graphs(), alphas)
-def test_pruning_preserves_output(g, alpha):
-    before = {c.vertices for c in run(mule, g, alpha)}
+def emitted(fn, g, alpha, *args, **kwargs):
+    """The emitted stream in order, probabilities as exact bit patterns."""
     out = []
-    mule(g, alpha, out.append)  # unpruned input
-    assert {c.vertices for c in out} == before
+    fn(g, alpha, *args, out.append, **kwargs)
+    return [(c.vertices, c.prob.hex()) for c in out]
+
+
+def assert_pruning_is_invisible(g, alpha):
+    """Each enumerator emits the same stream, in the same order and with
+    bit-equal probabilities, whether or not sub-alpha edges are present."""
+    pruned = prune_by_alpha(g, alpha)
+    for fn, args, kwargs in ((mule, (), {"check_invariants": True}),
+                             (large_mule, (3,), {"check_invariants": True}),
+                             (dfs_noip, (), {})):
+        assert emitted(fn, g, alpha, *args, **kwargs) == \
+            emitted(fn, pruned, alpha, *args, **kwargs), fn.__name__
+
+
+@settings(max_examples=100, deadline=None)
+@given(uncertain_graphs(max_n=12), alphas)
+def test_pruning_preserves_output(g, alpha):
+    assert_pruning_is_invisible(g, alpha)
+
+
+# Vertex 1 has only sub-alpha edges; {0, 2, 3} is a triangle above alpha.
+SUB_ALPHA_VERTEX = UncertainGraph(4, [(0, 1, 0.1), (1, 2, 0.3), (0, 2, 0.9),
+                                      (0, 3, 0.9), (2, 3, 0.9)])
+
+
+def test_vertex_with_only_sub_alpha_edges_is_a_singleton():
+    assert_pruning_is_invisible(SUB_ALPHA_VERTEX, 0.5)
+    assert emitted(mule, SUB_ALPHA_VERTEX, 0.5) == \
+        [((0, 2, 3), (0.9 * 0.9 * 0.9).hex()), ((1,), (1.0).hex())]
+
+
+def test_large_mule_threshold_above_every_degree_emits_nothing():
+    g = SUB_ALPHA_VERTEX
+    t = max(g.degree(u) for u in range(g.n)) + 2
+    for graph in (g, prune_by_alpha(g, 0.5)):
+        assert emitted(large_mule, graph, 0.5, t, check_invariants=True) == []
 
 
 @settings(max_examples=40, deadline=None)
