@@ -1,7 +1,6 @@
 """Maximal clique enumeration on uncertain graphs."""
 
 from .algorithms import (
-    EnumConfig,
     InvariantViolation,
     dfs_noip,
     large_mule,
@@ -39,7 +38,6 @@ from .oracle import (
 __all__ = [
     "Clique",
     "DeterministicGraph",
-    "EnumConfig",
     "GenSpec",
     "GraphFormatError",
     "InvariantViolation",

@@ -11,10 +11,12 @@ dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks; kept for benchmarking.
 
 mule and large_mule build each root vertex's frame straight from its
-adjacency list, keeping only edges with p >= alpha, and run one
+row (UncertainGraph.row), keeping only edges with p >= alpha, and run one
 depth-first search per root; no search step scans vertices outside a
-neighbourhood.  No enumerator needs an alpha-pruned graph for
-correctness.  The CLI still prunes first (graph.prune_by_alpha):
+neighbourhood.  Each step reads the added vertex's row once and does one
+dict lookup per candidate; a child left with no extension candidates is
+decided in place, without a frame.  No enumerator needs an alpha-pruned
+graph for correctness.  The CLI still prunes first (graph.prune_by_alpha):
 shared_neighborhood_filter works on structure alone and removes more on
 the pruned graph, and dfs_noip recomputes products over every edge it
 sees.
@@ -22,8 +24,6 @@ sees.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable
 
 from .graph import (
@@ -44,29 +44,6 @@ class InvariantViolation(AssertionError):
     """A cached candidate factor disagrees with the direct product."""
 
 
-ALGORITHMS = ("mule", "large_mule", "dfs_noip", "oracle")
-EMIT_ORDERS = ("dfs", "canonical")
-
-
-@dataclass(frozen=True)
-class EnumConfig:
-    """Run parameters for one enumeration."""
-
-    alpha: float
-    min_size: int = 1
-    algorithm: str = "mule"
-    emit_order: str = "dfs"
-
-    def __post_init__(self):
-        check_alpha(self.alpha)
-        if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.emit_order not in EMIT_ORDERS:
-            raise ValueError(f"unknown emit order {self.emit_order!r}")
-
-
 class _Frame:
     """One node of the search tree.
 
@@ -78,15 +55,14 @@ class _Frame:
              q*s is the probability of clique+{v} and is >= alpha
     """
 
-    __slots__ = ("clique", "q", "ext", "excl", "i", "pending")
+    __slots__ = ("clique", "q", "ext", "excl", "i")
 
     def __init__(self, clique, q, ext, excl):
         self.clique = clique
         self.q = q
         self.ext = ext
         self.excl = excl
-        self.i = 0            # next extension index to process
-        self.pending = None   # (u, r) to move into excl once its subtree returns
+        self.i = 0  # next extension index to process
 
 
 def mule(g: UncertainGraph, alpha: float, sink: Sink, *,
@@ -122,48 +98,44 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
 def _enumerate(g, alpha, sink, *, min_size, check_invariants):
     """One depth-first search per root vertex u, in ascending order.
 
-    u's frame is built from its sorted adjacency: ext holds the neighbours
-    above u and excl those below, each with its edge probability as the
-    cached factor and only where that is >= alpha.  Every vertex below u
-    that could extend a clique containing u is adjacent to u, so excl holds
-    every witness the search below needs.
+    u's frame is built from its row: ext holds the neighbours above u and
+    excl those below, each with its edge probability as the cached factor
+    and only where that is >= alpha.  Every vertex below u that could
+    extend a clique containing u is adjacent to u, so excl holds every
+    witness the search below needs.
     """
     check_alpha(alpha)
     count = 0
     for u in range(g.n):
-        nbrs = g.neighbors(u)
-        split = bisect_left(nbrs, u)
-        ext = [(w, p) for w in nbrs[split:]
-               if (p := g.edge_prob(u, w)) >= alpha]
+        items = g.row(u).items()
+        ext = [(w, p) for w, p in items if w > u and p >= alpha]
         if min_size is not None and 1 + len(ext) < min_size:
             continue  # no clique containing u as its minimum is large enough
-        excl = [(v, p) for v in nbrs[:split]
-                if (p := g.edge_prob(u, v)) >= alpha]
+        excl = [(v, p) for v, p in items if v < u and p >= alpha]
         if check_invariants:
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
-        count += _search(g, _Frame((u,), 1.0, ext, excl), alpha, sink,
-                         min_size=min_size, check_invariants=check_invariants)
+        if ext:
+            count += _search(g, _Frame((u,), 1.0, ext, excl), alpha, sink,
+                             min_size=min_size,
+                             check_invariants=check_invariants)
+        elif not excl:
+            sink(Clique((u,), 1.0))
+            count += 1
     return count
 
 
 def _search(g, root, alpha, sink, *, min_size, check_invariants):
-    """Emit the alpha-maximal cliques in root's subtree; returns the count."""
+    """Emit the alpha-maximal cliques in root's subtree; returns the count.
+
+    A child whose ext comes out empty is a leaf, decided without a frame:
+    it is maximal exactly when no exclusion witness survives its addition.
+    """
     count = 0
     # Explicit frame stack: depth reaches the largest clique size, up to n,
     # far beyond what native recursion survives.
     stack = [root]
     while stack:
         fr = stack[-1]
-        if fr.pending is not None:
-            # Subtree of the previous candidate finished; it now becomes a
-            # maximality witness for everything to its right.
-            fr.excl.append(fr.pending)
-            fr.pending = None
-        if fr.i == 0 and not fr.ext and not fr.excl:
-            sink(Clique(fr.clique, fr.q))
-            count += 1
-            stack.pop()
-            continue
         if fr.i >= len(fr.ext):
             stack.pop()
             continue
@@ -174,11 +146,21 @@ def _search(g, root, alpha, sink, *, min_size, check_invariants):
         ext2 = _filter_extension(g, u, q2, fr.ext, fr.i, alpha)
         if min_size is not None and len(c2) + len(ext2) < min_size:
             continue  # subtree cannot reach the size threshold
-        excl2 = _filter_exclusion(g, u, q2, fr.excl, alpha)
-        if check_invariants:
-            _check_frame(g, c2, q2, ext2, excl2, alpha)
-        fr.pending = (u, r)
-        stack.append(_Frame(c2, q2, ext2, excl2))
+        if ext2 or check_invariants:
+            excl2 = _filter_exclusion(g, u, q2, fr.excl, alpha)
+            if check_invariants:
+                _check_frame(g, c2, q2, ext2, excl2, alpha)
+            if ext2:
+                stack.append(_Frame(c2, q2, ext2, excl2))
+            elif not excl2:
+                sink(Clique(c2, q2))
+                count += 1
+        elif not _has_witness(g, u, q2, fr.excl, alpha):
+            sink(Clique(c2, q2))
+            count += 1
+        # u's subtree is settled before any later sibling is expanded, so
+        # u is already a maximality witness for everything to its right.
+        fr.excl.append((u, r))
     return count
 
 
@@ -187,29 +169,36 @@ def _filter_extension(g, m, q_new, ext, start, alpha):
 
     ext is sorted by vertex, so entries from `start` on are exactly those
     above m; each must also be adjacent to m and keep the product >= alpha.
-    Runs in O(|ext|) with O(1) work per entry.
+    Runs in O(|ext|) with one row lookup per entry.
     """
-    adj = g.adj_set(m)
+    row = g.row(m)
     out = []
-    for i in range(start, len(ext)):
-        u, r = ext[i]
-        if u in adj:
-            r2 = r * g.edge_prob(u, m)
-            if q_new * r2 >= alpha:
-                out.append((u, r2))
+    for u, r in ext[start:]:
+        p = row.get(u)
+        if p is not None and q_new * (r2 := r * p) >= alpha:
+            out.append((u, r2))
     return out
 
 
 def _filter_exclusion(g, m, q_new, excl, alpha):
     """Witnesses still able to extend the clique after m joins it."""
-    adj = g.adj_set(m)
+    row = g.row(m)
     out = []
     for v, s in excl:
-        if v in adj:
-            s2 = s * g.edge_prob(v, m)
-            if q_new * s2 >= alpha:
-                out.append((v, s2))
+        p = row.get(v)
+        if p is not None and q_new * (s2 := s * p) >= alpha:
+            out.append((v, s2))
     return out
+
+
+def _has_witness(g, m, q_new, excl, alpha):
+    """Whether _filter_exclusion(g, m, q_new, excl, alpha) is nonempty."""
+    row = g.row(m)
+    for v, s in excl:
+        p = row.get(v)
+        if p is not None and q_new * (s * p) >= alpha:
+            return True
+    return False
 
 
 def _check_frame(g, clique, q, ext, excl, alpha):
@@ -252,7 +241,7 @@ def shared_neighborhood_filter(g: UncertainGraph, t: int) -> UncertainGraph:
     """
     if t < 2:
         raise ValueError("size threshold must be >= 2 for filtering")
-    adj: list[set[int]] = [set(g.neighbors(u)) for u in range(g.n)]
+    adj: list[set[int]] = [set(g.row(u)) for u in range(g.n)]
     need = t - 2
     changed = True
     while changed:
@@ -272,7 +261,7 @@ def shared_neighborhood_filter(g: UncertainGraph, t: int) -> UncertainGraph:
                     adj[u].discard(v)
                 adj[v].clear()
                 changed = True
-    edges = [(u, v, g.edge_prob(u, v))
+    edges = [(u, v, g.row(u)[v])
              for u in range(g.n) for v in adj[u] if u < v]
     return g.replace_edges(edges)
 
@@ -289,29 +278,24 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:
     check_alpha(alpha)
     count = 0
 
-    def visit(c: tuple[int, ...], cand: list[int]) -> None:
+    def visit(c: tuple[int, ...], cand) -> None:
+        """c is an alpha-clique; cand, ascending, holds every vertex
+        above max(c) that extends c to an alpha-clique."""
         nonlocal count
-        mx = c[-1] if c else -1
-        kept = []
-        for u in cand:
-            if u <= mx:
-                continue
-            q = clique_probability_or_none(g, c + (u,))
-            if q is not None and q >= alpha:
-                kept.append(u)
-        if not kept:
-            if c and is_alpha_maximal(g, c, alpha):
-                sink(Clique(c, clique_probability(g, c)))
-                count += 1
+        if is_alpha_maximal(g, c, alpha):
+            sink(Clique(c, clique_probability(g, c)))
+            count += 1
             return
+        mx = c[-1]
+        row = g.row(mx)
+        kept = [u for u in cand if u > mx and u in row
+                and (q := clique_probability_or_none(g, c + (u,))) is not None
+                and q >= alpha]
         for v in kept:
-            c2 = c + (v,)
-            if is_alpha_maximal(g, c2, alpha):
-                sink(Clique(c2, clique_probability(g, c2)))
-                count += 1
-            else:
-                adj = g.adj_set(v)
-                visit(c2, [w for w in kept if w in adj])
+            visit(c + (v,), kept)
 
-    visit((), list(range(g.n)))
+    # A single vertex is an alpha-clique (probability 1), so each root
+    # starts from its own neighbours, not from all n vertices.
+    for v in range(g.n):
+        visit((v,), g.neighbors(v))
     return count

@@ -72,8 +72,7 @@ def _check_alpha_arg(alpha: float) -> float:
 
 
 def format_clique(g: UncertainGraph, c: Clique) -> str:
-    labels = sorted(g.label(v) for v in c.vertices)
-    return f"{c.prob:.17g} " + " ".join(str(x) for x in labels)
+    return f"{c.prob:.17g} " + g.label_text(c.vertices)
 
 
 def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,

@@ -9,8 +9,9 @@ first appearance in the input file.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, KeysView, TextIO
 
 
 class GraphFormatError(ValueError):
@@ -39,18 +40,20 @@ class Clique:
 class UncertainGraph:
     """Immutable simple undirected graph with edge probabilities.
 
-    All accessors are pure reads, so instances are safe to share across
+    The adjacency is one row per vertex: a dict {neighbour: p} whose keys
+    run in ascending order whatever order the edges were given in.  All
+    accessors are pure reads, so instances are safe to share across
     threads after construction.
     """
 
-    __slots__ = ("n", "_prob", "_nbrs", "_nbr_sets", "_labels", "_index")
+    __slots__ = ("n", "num_edges", "_rows", "_labels", "_index",
+                 "_label_names")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]],
                  labels: Iterable[int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        prob: dict[tuple[int, int], float] = {}
-        adj: list[list[int]] = [[] for _ in range(n)]
+        rows: list[dict[int, float]] = [{} for _ in range(n)]
         for u, v, p in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
@@ -58,16 +61,13 @@ class UncertainGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"edge probability {p!r} outside (0, 1]")
-            key = (u, v) if u < v else (v, u)
-            if key in prob:
-                raise ValueError(f"duplicate edge {key}")
-            prob[key] = p
-            adj[u].append(v)
-            adj[v].append(u)
+            if v in rows[u]:
+                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+            rows[u][v] = p
+            rows[v][u] = p
         self.n = n
-        self._prob = prob
-        self._nbrs = tuple(tuple(sorted(a)) for a in adj)
-        self._nbr_sets = tuple(frozenset(a) for a in adj)
+        self.num_edges = sum(map(len, rows)) // 2
+        self._rows = tuple(dict(sorted(row.items())) for row in rows)
         if labels is None:
             lab = tuple(range(1, n + 1))
         else:
@@ -76,36 +76,50 @@ class UncertainGraph:
                 raise ValueError("labels must be a bijection onto the vertices")
         self._labels = lab
         self._index = {ext: i for i, ext in enumerate(lab)}
+        self._label_names: tuple[str, ...] | None = None
 
-    @property
-    def num_edges(self) -> int:
-        return len(self._prob)
+    def row(self, u: int) -> dict[int, float]:
+        """u's neighbours in ascending order, each mapped to its edge
+        probability.  Shared with the graph: callers must not mutate it."""
+        return self._rows[u]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbor indices of u."""
-        return self._nbrs[u]
+        return tuple(self._rows[u])
 
-    def adj_set(self, u: int) -> frozenset[int]:
-        return self._nbr_sets[u]
+    def adj_set(self, u: int) -> KeysView[int]:
+        return self._rows[u].keys()
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self._rows[u]
 
     def degree(self, u: int) -> int:
-        return len(self._nbrs[u])
+        return len(self._rows[u])
 
     def edge_prob(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        return self._prob[key]
+        return self._rows[u][v]
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Edges as (u, v, p) with u < v, in sorted order."""
-        for (u, v) in sorted(self._prob):
-            yield u, v, self._prob[(u, v)]
+        for u, row in enumerate(self._rows):
+            yield from ((u, v, p) for v, p in row.items() if v > u)
 
     def label(self, u: int) -> int:
         """External 1-based label of internal index u."""
         return self._labels[u]
+
+    def label_text(self, vertices: Iterable[int]) -> str:
+        """External labels of `vertices` (internal indices, ascending),
+        in ascending order and joined by single spaces."""
+        lab = self._labels
+        if self._label_names is None:
+            # Labels that increase with the index keep their strings and
+            # need no per-call sort; any other labelling stores ().
+            ascending = all(map(operator.lt, lab, lab[1:]))
+            self._label_names = tuple(map(str, lab)) if ascending else ()
+        if self._label_names:
+            return " ".join([self._label_names[v] for v in vertices])
+        return " ".join(map(str, sorted([lab[v] for v in vertices])))
 
     def index(self, label: int) -> int:
         """Internal index of an external label; KeyError if unknown."""
@@ -243,11 +257,11 @@ def clique_probability_or_none(g: UncertainGraph, c: Iterable[int]) -> float | N
     verts = sorted(set(c))
     q = 1.0
     for i, u in enumerate(verts):
-        nbrs = g.adj_set(u)
+        row = g.row(u)
         for v in verts[i + 1:]:
-            if v not in nbrs:
+            if v not in row:
                 return None
-            q *= g.edge_prob(u, v)
+            q *= row[v]
     return q
 
 
@@ -264,16 +278,16 @@ def is_alpha_maximal(g: UncertainGraph, c: Iterable[int], alpha: float) -> bool:
         return False
     cset = set(verts)
     base = min(verts, key=g.degree)
-    for w in g.neighbors(base):
+    for w in g.row(base):
         if w in cset:
             continue
-        nbrs = g.adj_set(w)
+        row = g.row(w)
         ext = q
         for u in verts:
-            if u not in nbrs:
+            if u not in row:
                 ext = None
                 break
-            ext *= g.edge_prob(u, w)
+            ext *= row[u]
         if ext is not None and ext >= alpha:
             return False
     return True

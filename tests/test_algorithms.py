@@ -2,11 +2,12 @@
 the size-thresholded variant, pre-filtering, and the baseline."""
 
 import io
+import math
 
 import pytest
 
+from umc import algorithms
 from umc.algorithms import (
-    EnumConfig,
     dfs_noip,
     large_mule,
     mule,
@@ -164,6 +165,38 @@ class TestLargeMule:
             large_mule(parse(PATH_3), 0.5, 0, lambda c: None)
 
 
+class TestFrameFreeLeaves:
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_extremal_counts_with_and_without_checks(self, n):
+        g = build_extremal_graph(n, 0.5)
+        streams = []
+        for check in (False, True):
+            for fn, args in ((mule, ()), (large_mule, (n // 2,))):
+                out = []
+                assert fn(g, 0.5, *args, out.append,
+                          check_invariants=check) == math.comb(n, n // 2)
+                streams.append([(c.vertices, c.prob.hex()) for c in out])
+        assert all(s == streams[0] for s in streams)
+        assert all(len(v) == n // 2 for v, _ in streams[0])
+
+    def test_no_frame_is_pushed_for_a_leaf(self, monkeypatch):
+        pushed = []
+
+        class CountingFrame(algorithms._Frame):
+            __slots__ = ()
+
+            def __init__(self, clique, q, ext, excl):
+                pushed.append(len(ext))
+                super().__init__(clique, q, ext, excl)
+
+        monkeypatch.setattr(algorithms, "_Frame", CountingFrame)
+        # K6 at its extremal alpha: every 3-clique, and every 2-clique
+        # containing 5, is a leaf.  Frames go only to the roots 0..4 and to
+        # the ten 2-cliques inside {0..4}, each of which has an extension.
+        assert len(collect(mule, build_extremal_graph(6, 0.5), 0.5)) == 20
+        assert len(pushed) == 5 + 10 and all(pushed)
+
+
 class TestSharedNeighborhoodFilter:
     def test_triangle_t3_unchanged(self):
         g = parse("1 2 0.9\n2 3 0.9\n1 3 0.9\n")
@@ -205,21 +238,3 @@ class TestDfsNoip:
     def test_matches_mule_on_extremal(self):
         g = build_extremal_graph(8, 0.5)
         assert collect(dfs_noip, g, 0.5) == collect(mule, g, 0.5)
-
-
-class TestEnumConfig:
-    def test_defaults(self):
-        cfg = EnumConfig(alpha=0.5)
-        assert cfg.min_size == 1
-        assert cfg.algorithm == "mule"
-        assert cfg.emit_order == "dfs"
-
-    @pytest.mark.parametrize("kwargs", [
-        {"alpha": 0.0},
-        {"alpha": 0.5, "min_size": 0},
-        {"alpha": 0.5, "algorithm": "bron-kerbosch"},
-        {"alpha": 0.5, "emit_order": "random"},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            EnumConfig(**kwargs)

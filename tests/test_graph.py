@@ -3,6 +3,7 @@ probability/maximality primitives."""
 
 import io
 import math
+import random
 
 import pytest
 
@@ -76,6 +77,18 @@ class TestLoadGraph:
         assert list(g2.edges()) == list(g.edges())
 
 
+def assert_rows_ascending_and_symmetric(g):
+    for u in range(g.n):
+        row = g.row(u)
+        assert list(row) == sorted(row)
+        assert g.neighbors(u) == tuple(row)
+        assert g.degree(u) == len(row)
+        for v, p in row.items():
+            assert g.row(v)[u] == p
+            assert g.edge_prob(u, v) == g.edge_prob(v, u) == p
+            assert g.adjacent(u, v) and v in g.adj_set(u)
+
+
 class TestUncertainGraph:
     def test_adjacency_symmetric_and_sorted(self):
         g = parse("1 3 0.5\n1 2 0.5\n")
@@ -83,6 +96,49 @@ class TestUncertainGraph:
         for u in range(g.n):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
+
+    def test_rows_ascending_for_shuffled_edges(self):
+        edges = [(u, v, (u + 1) / (v + 2)) for u in range(7)
+                 for v in range(u + 1, 7) if (u * v) % 3 != 1]
+        rng = random.Random(4)
+        for _ in range(5):
+            rng.shuffle(edges)
+            g = UncertainGraph(7, [(v, u, p) if rng.random() < 0.5 else (u, v, p)
+                                   for u, v, p in edges])
+            assert_rows_ascending_and_symmetric(g)
+            assert list(g.edges()) == sorted(edges)
+            assert g.num_edges == len(edges)
+
+    def test_rows_ascending_for_first_appearance_input(self):
+        # internal order 0..4 is labels 9, 4, 7, 1, 2: edges arrive far
+        # from ascending internal order
+        g = parse("9 4 0.5\n7 1 0.6\n1 9 0.7\n2 4 0.8\n2 9 0.9\n7 9 0.4\n")
+        assert [g.label(i) for i in range(g.n)] == [9, 4, 7, 1, 2]
+        assert_rows_ascending_and_symmetric(g)
+        assert g.row(0) == {1: 0.5, 2: 0.4, 3: 0.7, 4: 0.9}
+        assert list(g.edges()) == sorted(g.edges())
+
+    def test_reverse_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            UncertainGraph(3, [(0, 1, 0.5), (2, 1, 0.5), (1, 0, 0.5)])
+
+    def test_replace_edges_counts_new_edge_set(self):
+        g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
+                           labels=(5, 6, 7, 8))
+        h = g.replace_edges([(3, 0, 0.25)])
+        assert (h.n, h.num_edges, h.label(3)) == (4, 1, 8)
+        assert list(h.edges()) == [(0, 3, 0.25)]
+        assert g.num_edges == 3 and h.degree(1) == 0
+
+    @pytest.mark.parametrize("text, vertices, expected", [
+        ("n 12\n1 2 0.5\n", (0, 3, 11), "1 4 12"),
+        ("10 3 0.5\n3 2 0.5\n", (0, 1, 2), "2 3 10"),
+        ("10 3 0.5\n3 2 0.5\n", (1,), "3"),
+    ])
+    def test_label_text_is_ascending(self, text, vertices, expected):
+        g = parse(text)
+        assert g.label_text(vertices) == expected
+        assert g.label_text(vertices) == expected  # after the names are cached
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,23 @@ def test_large_mule_threshold_above_every_degree_emits_nothing():
         assert emitted(large_mule, graph, 0.5, t, check_invariants=True) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(uncertain_graphs(max_n=12), alphas)
+def test_kernel_stream_is_independent_of_invariant_checks(g, alpha):
+    """mule and large_mule (t=3) emit the same ordered stream, with
+    bit-equal probabilities, whether or not every frame and leaf is
+    re-derived by _check_frame; large_mule's stream is mule's restricted
+    to cliques of size >= 3."""
+    streams = {}
+    for check in (False, True):
+        streams[check] = (emitted(mule, g, alpha, check_invariants=check),
+                          emitted(large_mule, g, alpha, 3,
+                                  check_invariants=check))
+    assert streams[False] == streams[True]
+    full, large = streams[False]
+    assert large == [c for c in full if len(c[0]) >= 3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(uncertain_graphs(), alphas, st.integers(min_value=1, max_value=6))
 def test_large_mule_is_a_size_filter(g, alpha, t):
