@@ -10,7 +10,6 @@ from .algorithms import (
 from .generators import (
     DeterministicGraph,
     GenSpec,
-    assign_constant_probability,
     assign_uniform_probabilities,
     coauthor_probability,
     gen_barabasi_albert,
@@ -44,7 +43,6 @@ __all__ = [
     "NotACliqueError",
     "OracleResult",
     "UncertainGraph",
-    "assign_constant_probability",
     "assign_uniform_probabilities",
     "brute_force_enumerate",
     "build_extremal_graph",

@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
 from typing import TextIO
 
 from .algorithms import dfs_noip, large_mule, mule
-from .generators import (
-    GenSpec,
-    assign_uniform_probabilities,
-    coauthor_prob_parser,
-    gen_barabasi_albert,
-    gen_erdos_renyi,
-)
+from .generators import GenSpec, coauthor_prob_parser
 from .graph import (
     Clique,
     GraphFormatError,
@@ -36,12 +31,16 @@ from .graph import (
     load_graph,
     prune_by_alpha,
 )
-from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate, build_extremal_graph
+from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate
 
 CSV_COLUMNS = ["graph", "algo", "alpha", "t", "count", "out_vertices",
                "ms", "depth", "seed"]
 
 PROB_REL_TOL = 1e-9
+
+# The enumerators `enumerate --algo` and `bench --algos` accept; a size
+# threshold t > 1 turns "mule" into large_mule.
+ALGOS = ("mule", "dfs-noip")
 
 
 class UsageError(ValueError):
@@ -49,7 +48,25 @@ class UsageError(ValueError):
 
 
 def default_seed() -> int:
-    return int(os.environ.get("UMC_SEED", "0"))
+    text = os.environ.get("UMC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"UMC_SEED must be an integer, got {text!r}")
+
+
+def _open_for_write(path: str, **kwargs) -> TextIO:
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
+def _parse_list(text: str, convert, flag: str) -> list:
+    try:
+        return [convert(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag}: malformed list {text!r}")
 
 
 def _load_file(path: str, prob_model: str) -> UncertainGraph:
@@ -76,20 +93,36 @@ def format_clique(g: UncertainGraph, c: Clique) -> str:
 
 
 def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
-                     sink) -> int:
-    """Dispatch on the pre-pruned graph.  For dfs-noip a size threshold is
-    applied as an output filter (the baseline has no pruned variant)."""
-    if algo == "dfs-noip":
-        if t > 1:
-            inner = sink
+                     sink) -> tuple[int, float]:
+    """Prune g by alpha, then emit its alpha-maximal cliques with at least
+    t vertices into sink: with large_mule when algo is "mule" and t > 1,
+    else with mule or dfs_noip, whose output is then filtered by size
+    (the baseline has no pruned variant).  Returns the number of cliques
+    sink received and the milliseconds spent in the search, sink included.
 
-            def sink(c, _inner=inner):  # noqa: A001 - shadow on purpose
-                if len(c.vertices) >= t:
-                    _inner(c)
-        return dfs_noip(g, alpha, sink)
-    if t > 1:
-        return large_mule(g, alpha, t, sink)
-    return mule(g, alpha, sink)
+    The enumerators are looked up as module globals at call time, not
+    through a table built at import, so a caller that replaces one on this
+    module (to trace it, say) sees its replacement run.
+    """
+    pruned = prune_by_alpha(g, alpha)
+    start = time.perf_counter()
+    if algo == "mule":
+        if t > 1:
+            count = large_mule(pruned, alpha, t, sink)
+        else:
+            count = mule(pruned, alpha, sink)
+    elif t > 1:
+        count = 0
+
+        def sized(c):
+            nonlocal count
+            if len(c.vertices) >= t:
+                count += 1
+                sink(c)
+        dfs_noip(pruned, alpha, sized)
+    else:
+        count = dfs_noip(pruned, alpha, sink)
+    return count, (time.perf_counter() - start) * 1000.0
 
 
 def cmd_enumerate(args) -> int:
@@ -97,26 +130,19 @@ def cmd_enumerate(args) -> int:
     if args.min_size < 1:
         raise UsageError("--min-size must be >= 1")
     g = _load_file(args.input, args.prob_model)
-    pruned = prune_by_alpha(g, alpha)
-    out: TextIO = open(args.out, "w") if args.out else sys.stdout
+    out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
     try:
-        emitted: list[Clique] = []
-        count = 0
-        start = time.perf_counter()
         if args.canonical:
-            count = _run_enumeration(pruned, args.algo, alpha, args.min_size,
-                                     emitted.append)
-            ms = (time.perf_counter() - start) * 1000.0
+            emitted: list[Clique] = []
+            count, ms = _run_enumeration(g, args.algo, alpha, args.min_size,
+                                         emitted.append)
             emitted.sort(key=lambda c: (tuple(sorted(g.label(v) for v in c.vertices))))
             for c in emitted:
                 out.write(format_clique(g, c) + "\n")
         else:
-            def sink(c):
-                nonlocal count
-                count += 1
-                out.write(format_clique(g, c) + "\n")
-            _run_enumeration(pruned, args.algo, alpha, args.min_size, sink)
-            ms = (time.perf_counter() - start) * 1000.0
+            count, ms = _run_enumeration(
+                g, args.algo, alpha, args.min_size,
+                lambda c: out.write(format_clique(g, c) + "\n"))
         print(f"cliques={count} time_ms={ms:.3f}", file=sys.stderr)
     finally:
         if args.out:
@@ -126,7 +152,11 @@ def cmd_enumerate(args) -> int:
 
 def _parse_clique_file(g: UncertainGraph, path: str):
     """Yield (line_no, prob, internal vertex tuple) from a clique stream."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -164,7 +194,7 @@ def cmd_verify(args) -> int:
             failures += 1
             continue
         exact = clique_probability(g, verts)
-        if abs(prob - exact) > PROB_REL_TOL * exact:
+        if not math.isfinite(prob) or abs(prob - exact) > PROB_REL_TOL * exact:
             print(f"PROBABILITY MISMATCH line {line_no}: {names} "
                   f"stated {prob!r} actual {exact!r}")
             failures += 1
@@ -186,25 +216,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    if args.family == "extremal":
-        if args.alpha is None:
-            raise UsageError("extremal family requires --alpha")
-        try:
-            g = build_extremal_graph(args.n, args.alpha)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    else:
-        try:
-            if args.family == "ba":
-                base = gen_barabasi_albert(args.n, args.m, seed)
-            else:
-                base = gen_erdos_renyi(args.n, args.density, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        # separate stream for the probability draw
-        g = assign_uniform_probabilities(base, seed + 1)
-    with open(args.out, "w") as fh:
+    if args.family == "extremal" and args.alpha is None:
+        raise UsageError("extremal family requires --alpha")
+    fields = {"m": args.m, "density": args.density,
+              "seed": args.seed if args.seed is not None else default_seed()}
+    if args.alpha is not None:
+        fields["alpha"] = args.alpha
+    try:
+        g = GenSpec(args.family, args.n, **fields).build()
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    with _open_for_write(args.out) as fh:
         dump_graph(g, fh)
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges}", file=sys.stderr)
     return 0
@@ -212,23 +234,18 @@ def cmd_generate(args) -> int:
 
 def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
     """Run one (graph, algo, alpha, t) cell; timing covers only the
-    enumeration call (pruning and loading excluded)."""
-    pruned = prune_by_alpha(g, alpha)
-    count = 0
+    search (pruning and loading excluded)."""
     out_vertices = 0
     depth = 0
 
     def sink(c):
-        nonlocal count, out_vertices, depth
-        count += 1
+        nonlocal out_vertices, depth
         k = len(c.vertices)
         out_vertices += k
         if k > depth:
             depth = k
 
-    start = time.perf_counter()
-    _run_enumeration(pruned, algo, alpha, t, sink)
-    ms = (time.perf_counter() - start) * 1000.0
+    count, ms = _run_enumeration(g, algo, alpha, t, sink)
     return count, out_vertices, ms, depth
 
 
@@ -236,12 +253,13 @@ def cmd_bench(args) -> int:
     if not args.input and not args.gen:
         raise UsageError("bench requires --input and/or --gen")
     seed = args.seed if args.seed is not None else default_seed()
-    alphas = [_check_alpha_arg(float(tok)) for tok in args.alphas.split(",")]
+    alphas = [_check_alpha_arg(a)
+              for a in _parse_list(args.alphas, float, "--alphas")]
     algos = args.algos.split(",")
     for algo in algos:
-        if algo not in ("mule", "dfs-noip", "large-mule"):
+        if algo not in ALGOS:
             raise UsageError(f"unknown algorithm {algo!r}")
-    min_sizes = [int(tok) for tok in args.min_sizes.split(",")]
+    min_sizes = _parse_list(args.min_sizes, int, "--min-sizes")
     if any(t < 1 for t in min_sizes):
         raise UsageError("--min-sizes entries must be >= 1")
 
@@ -254,11 +272,11 @@ def cmd_bench(args) -> int:
             spec = GenSpec.parse(spec_text)
             if "seed=" not in spec_text:
                 spec = GenSpec(**{**spec.__dict__, "seed": seed})
+            graphs.append((spec.label(), spec.build(), spec.seed))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad generator spec {spec_text!r}: {exc}")
-        graphs.append((spec.label(), spec.build(), spec.seed))
 
-    with open(args.csv, "w", newline="") as fh:
+    with _open_for_write(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
@@ -266,11 +284,7 @@ def cmd_bench(args) -> int:
             for algo in algos:
                 for alpha in alphas:
                     for t in min_sizes:
-                        if algo == "large-mule":
-                            count, ov, ms, depth = _bench_cell(
-                                g, "mule", alpha, max(t, 2))
-                        else:
-                            count, ov, ms, depth = _bench_cell(g, algo, alpha, t)
+                        count, ov, ms, depth = _bench_cell(g, algo, alpha, t)
                         writer.writerow([label, algo, alpha, t, count, ov,
                                          f"{ms:.3f}", depth, gseed])
                         fh.flush()
@@ -286,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate alpha-maximal cliques")
     p_enum.add_argument("--input", required=True)
     p_enum.add_argument("--alpha", type=float, required=True)
-    p_enum.add_argument("--algo", choices=["mule", "dfs-noip"], default="mule")
+    p_enum.add_argument("--algo", choices=ALGOS, default="mule")
     p_enum.add_argument("--min-size", type=int, default=1)
     p_enum.add_argument("--canonical", action="store_true",
                         help="sort output lexicographically")

@@ -71,12 +71,6 @@ def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainG
     return UncertainGraph(g.n, [(u, v, p) for (u, v), p in zip(g.edges, draws)])
 
 
-def assign_constant_probability(g: DeterministicGraph, q: float) -> UncertainGraph:
-    if not 0.0 < q <= 1.0:
-        raise ValueError("probability must lie in (0, 1]")
-    return UncertainGraph(g.n, [(u, v, q) for u, v in g.edges])
-
-
 def coauthor_probability(c: int) -> float:
     """Edge probability from a co-authored paper count: 1 - e^(-c/10)."""
     if c != int(c) or c <= 0:
@@ -93,9 +87,6 @@ def coauthor_prob_parser(token: str) -> float:
     return coauthor_probability(c)
 
 
-PROB_MODELS = ("uniform01", "constant")
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """One generator invocation, parseable from 'family:key=val,...'
@@ -106,21 +97,17 @@ class GenSpec:
     m: int = 10
     density: float = 0.5
     alpha: float = 0.5          # extremal family only
-    prob_model: str = "uniform01"
-    q: float = 0.5              # constant prob model only
     seed: int = 0
 
     _FAMILIES = ("ba", "er", "extremal")
     _INT_KEYS = ("n", "m", "seed")
-    _FLOAT_KEYS = ("density", "alpha", "q")
+    _FLOAT_KEYS = ("density", "alpha")
 
     def __post_init__(self):
         if self.family not in self._FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.prob_model not in PROB_MODELS:
-            raise ValueError(f"unknown probability model {self.prob_model!r}")
 
     @classmethod
     def parse(cls, text: str) -> "GenSpec":
@@ -132,8 +119,6 @@ class GenSpec:
                 kwargs[key] = int(val)
             elif key in cls._FLOAT_KEYS:
                 kwargs[key] = float(val)
-            elif key == "prob_model":
-                kwargs[key] = val
             else:
                 raise ValueError(f"unknown generator parameter {key!r}")
         if "n" not in kwargs:
@@ -154,7 +139,5 @@ class GenSpec:
             base = gen_barabasi_albert(self.n, self.m, self.seed)
         else:
             base = gen_erdos_renyi(self.n, self.density, self.seed)
-        if self.prob_model == "constant":
-            return assign_constant_probability(base, self.q)
         # distinct stream from the structure draw
         return assign_uniform_probabilities(base, self.seed + 1)

@@ -10,8 +10,7 @@ first appearance in the input file.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, TextIO
+from typing import Iterable, Iterator, KeysView, NamedTuple, TextIO
 
 
 class GraphFormatError(ValueError):
@@ -28,8 +27,7 @@ class NotACliqueError(ValueError):
     """A vertex set handed to a probability query is not fully connected."""
 
 
-@dataclass(frozen=True)
-class Clique:
+class Clique(NamedTuple):
     """One unit of enumeration output: a sorted vertex tuple (internal
     indices) plus its clique probability."""
 

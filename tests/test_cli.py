@@ -1,11 +1,13 @@
 """End-to-end CLI tests driven through umc.cli.main."""
 
 import csv
+import io
 
 import pytest
 
 from umc.cli import main
-from umc.graph import load_graph
+from umc.generators import GenSpec
+from umc.graph import dump_graph, load_graph
 
 PATH_3 = "1 2 0.9\n2 3 0.8\n"
 
@@ -36,12 +38,24 @@ class TestEnumerate:
         summary = capsys.readouterr().err
         assert "cliques=2" in summary
 
-    def test_summary_matches_line_count(self, path_graph, tmp_path, capsys):
+    @pytest.mark.parametrize("min_size", ["1", "3"])
+    @pytest.mark.parametrize("canonical", [[], ["--canonical"]],
+                             ids=["streaming", "canonical"])
+    @pytest.mark.parametrize("algo", ["mule", "dfs-noip"])
+    def test_summary_matches_line_count(self, tmp_path, capsys,
+                                        algo, canonical, min_size):
+        # a triangle {1, 2, 3} with a pendant edge {3, 4}: one maximal
+        # clique on each side of --min-size 3
+        f = tmp_path / "paw.txt"
+        f.write_text("1 2 0.9\n2 3 0.9\n1 3 0.9\n3 4 0.9\n")
         out = tmp_path / "c.txt"
-        main(["enumerate", "--input", path_graph, "--alpha", "0.75",
-              "--out", str(out)])
+        rc = main(["enumerate", "--input", str(f), "--alpha", "0.5",
+                   "--algo", algo, "--min-size", min_size, *canonical,
+                   "--out", str(out)])
+        assert rc == 0
         n_lines = len(out.read_text().splitlines())
-        assert f"cliques={n_lines}" in capsys.readouterr().err
+        assert n_lines == (2 if min_size == "1" else 1)
+        assert f"cliques={n_lines} " in capsys.readouterr().err
 
     def test_min_size_filters(self, path_graph, tmp_path):
         out = tmp_path / "c.txt"
@@ -122,6 +136,14 @@ class TestVerify:
         assert rc == 1
         assert "PROBABILITY MISMATCH" in capsys.readouterr().out
 
+    def test_nan_probability_flagged(self, path_graph, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("nan 1 2\nnan 2 3\n")
+        rc = main(["verify", "--input", path_graph, "--cliques", str(bad),
+                   "--alpha", "0.75", "--complete"])
+        assert rc == 1
+        assert capsys.readouterr().out.count("PROBABILITY MISMATCH") == 2
+
 
 class TestGenerate:
     def test_extremal_k8(self, tmp_path):
@@ -163,6 +185,21 @@ class TestGenerate:
                    "--alpha", "0.5", "--out", str(tmp_path / "x.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["--family", "ba", "--n", "60", "--m", "4", "--seed", "3"],
+         GenSpec("ba", 60, m=4, seed=3)),
+        (["--family", "er", "--n", "30", "--density", "0.3", "--seed", "2"],
+         GenSpec("er", 30, density=0.3, seed=2)),
+        (["--family", "extremal", "--n", "10", "--alpha", "0.4"],
+         GenSpec("extremal", 10, alpha=0.4)),
+    ])
+    def test_writes_what_genspec_builds(self, tmp_path, argv, spec):
+        out = tmp_path / "g.txt"
+        assert main(["generate", *argv, "--out", str(out)]) == 0
+        expected = io.StringIO()
+        dump_graph(spec.build(), expected)
+        assert out.read_text() == expected.getvalue()
+
 
 class TestBench:
     def test_csv_rows_and_equivalence(self, tmp_path):
@@ -181,7 +218,7 @@ class TestBench:
     def test_min_size_sweep_counts_non_increasing(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", "--gen", "er:n=12,density=0.8,seed=5",
-              "--alphas", "0.2", "--algos", "large-mule",
+              "--alphas", "0.2", "--algos", "mule",
               "--min-sizes", "2,3,4,5", "--csv", str(out)])
         with open(out) as fh:
             counts = [int(r["count"]) for r in csv.DictReader(fh)]
@@ -191,3 +228,35 @@ class TestBench:
         rc = main(["bench", "--alphas", "0.5",
                    "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("umc_seed, argv", [
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
+           "--alpha", "0.5"]),
+    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
+           "--out", "{tmp}/no_such_dir/x"]),
+    ("0", ["generate", "--family", "ba", "--n", "20", "--m", "2",
+           "--out", "{tmp}/no_such_dir/x"]),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
+           "--csv", "{tmp}/no_such_dir/x"]),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "x",
+           "--csv", "{tmp}/b.csv"]),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
+           "--min-sizes", "a", "--csv", "{tmp}/b.csv"]),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
+           "--algos", "large-mule", "--csv", "{tmp}/b.csv"]),
+    ("0", ["bench", "--gen", "extremal:n=7,alpha=0.5", "--alphas", "0.5",
+           "--csv", "{tmp}/b.csv"]),
+    ("x", ["generate", "--family", "ba", "--n", "20", "--m", "2",
+           "--out", "{tmp}/g.txt"]),
+], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
+        "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
+        "bench-gen-odd-extremal", "generate-umc-seed"])
+def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
+                                umc_seed, argv):
+    monkeypatch.setenv("UMC_SEED", umc_seed)
+    argv = [a.format(graph=path_graph, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

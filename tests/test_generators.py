@@ -7,7 +7,6 @@ import pytest
 
 from umc.generators import (
     GenSpec,
-    assign_constant_probability,
     assign_uniform_probabilities,
     coauthor_probability,
     gen_barabasi_albert,
@@ -74,13 +73,6 @@ class TestProbabilityAssignment:
         a = assign_uniform_probabilities(g, seed=4)
         b = assign_uniform_probabilities(g, seed=4)
         assert list(a.edges()) == list(b.edges())
-
-    def test_constant_model(self):
-        g = gen_erdos_renyi(10, 0.5, seed=5)
-        ug = assign_constant_probability(g, 0.7)
-        assert all(p == 0.7 for _, _, p in ug.edges())
-        with pytest.raises(ValueError):
-            assign_constant_probability(g, 0.0)
 
 
 class TestCoauthorProbability:
