@@ -15,11 +15,10 @@ row (UncertainGraph.row), keeping only edges with p >= alpha, and run one
 depth-first search per root; no search step scans vertices outside a
 neighbourhood.  Each step reads the added vertex's row once and does one
 dict lookup per candidate; a child left with no extension candidates is
-decided in place, without a frame.  No enumerator needs an alpha-pruned
-graph for correctness.  The CLI still prunes first (graph.prune_by_alpha):
-shared_neighborhood_filter works on structure alone and removes more on
-the pruned graph, and dfs_noip recomputes products over every edge it
-sees.
+decided in place, without a frame.  large_mule's shared_neighborhood_filter
+reads only the edges with p >= alpha too, so mule and large_mule take the
+graph as loaded.  Only dfs_noip, which recomputes products over every edge
+it sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
 """
 
 from __future__ import annotations
@@ -81,16 +80,17 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
                check_invariants: bool = False) -> int:
     """Emit exactly the alpha-maximal cliques with at least t vertices.
 
-    For t >= 2, first applies shared_neighborhood_filter, then prunes any
-    branch where |C'| + |ext'| < t: that subtree cannot reach size t, and
-    every surviving witness needed for maximality of a size->=t clique is
-    preserved (on the path to such a clique the guard never fires).
+    For t >= 2, first narrows g to shared_neighborhood_filter(g, alpha, t),
+    then prunes any branch where |C'| + |ext'| < t: that subtree cannot
+    reach size t, and every surviving witness needed for maximality of a
+    size->=t clique is preserved (on the path to such a clique the guard
+    never fires).
     """
     if t < 1:
         raise ValueError("size threshold must be >= 1")
     if t == 1:
         return mule(g, alpha, sink, check_invariants=check_invariants)
-    filtered = shared_neighborhood_filter(g, t)
+    filtered = shared_neighborhood_filter(g, alpha, t)
     return _enumerate(filtered, alpha, sink, min_size=t,
                       check_invariants=check_invariants)
 
@@ -226,22 +226,20 @@ def _check_frame(g, clique, q, ext, excl, alpha):
                 f"exclusion factor drift at {clique}+{v}: {q * s} vs {direct}")
 
 
-def shared_neighborhood_filter(g: UncertainGraph, t: int) -> UncertainGraph:
-    """Remove edges and vertices that cannot sit inside any clique of size
-    >= t, iterating to a fixpoint:
+def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
+                               t: int) -> UncertainGraph:
+    """The edges with p >= alpha that can sit inside a clique of size >= t.
 
-      (a) drop every edge {u,v} whose endpoints share fewer than t-2
-          neighbors;
-      (b) drop every vertex lacking at least t-1 neighbors u with
-          |shared(u,v)| >= t-2.
-
-    Vertex removal is realized by deleting the vertex's edges; the vertex
-    set (and labelling) is unchanged.  Every alpha-maximal clique of size
-    >= t survives intact.
+    Drops every edge whose endpoints share fewer than t-2 neighbours, and
+    repeats until none is dropped: the t-truss (Cohen 2008) of the
+    alpha-subgraph.  The vertex set (and labelling) is unchanged.  Each
+    edge of an alpha-clique of size >= t has the clique's other vertices
+    as shared neighbours, so every such clique survives intact.
     """
+    check_alpha(alpha)
     if t < 2:
         raise ValueError("size threshold must be >= 2 for filtering")
-    adj: list[set[int]] = [set(g.row(u)) for u in range(g.n)]
+    adj = [{v for v, p in g.row(u).items() if p >= alpha} for u in range(g.n)]
     need = t - 2
     changed = True
     while changed:
@@ -252,15 +250,6 @@ def shared_neighborhood_filter(g: UncertainGraph, t: int) -> UncertainGraph:
                     adj[u].discard(v)
                     adj[v].discard(u)
                     changed = True
-        for v in range(g.n):
-            if not adj[v]:
-                continue
-            strong = sum(1 for u in adj[v] if len(adj[u] & adj[v]) >= need)
-            if strong < t - 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                adj[v].clear()
-                changed = True
     edges = [(u, v, g.row(u)[v])
              for u in range(g.n) for v in adj[u] if u < v]
     return g.replace_edges(edges)

@@ -94,23 +94,27 @@ def format_clique(g: UncertainGraph, c: Clique) -> str:
 
 def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
                      sink) -> tuple[int, float]:
-    """Prune g by alpha, then emit its alpha-maximal cliques with at least
-    t vertices into sink: with large_mule when algo is "mule" and t > 1,
-    else with mule or dfs_noip, whose output is then filtered by size
-    (the baseline has no pruned variant).  Returns the number of cliques
-    sink received and the milliseconds spent in the search, sink included.
+    """Emit g's alpha-maximal cliques with at least t vertices into sink:
+    with large_mule when algo is "mule" and t > 1, else with mule or
+    dfs_noip, whose output is then filtered by size (the baseline has no
+    pruned variant).  Returns the number of cliques sink received and the
+    milliseconds spent in the search, sink included.
 
-    The enumerators are looked up as module globals at call time, not
-    through a table built at import, so a caller that replaces one on this
-    module (to trace it, say) sees its replacement run.
+    mule and large_mule apply alpha themselves; dfs_noip, which
+    recomputes products over every edge it sees, gets an alpha-pruned copy
+    made before the clock starts.  The enumerators are looked up as module
+    globals at call time, not through a table built at import, so a caller
+    that replaces one on this module (to trace it, say) sees its
+    replacement run.
     """
-    pruned = prune_by_alpha(g, alpha)
+    if algo == "dfs-noip":
+        g = prune_by_alpha(g, alpha)
     start = time.perf_counter()
     if algo == "mule":
         if t > 1:
-            count = large_mule(pruned, alpha, t, sink)
+            count = large_mule(g, alpha, t, sink)
         else:
-            count = mule(pruned, alpha, sink)
+            count = mule(g, alpha, sink)
     elif t > 1:
         count = 0
 
@@ -119,9 +123,9 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
             if len(c.vertices) >= t:
                 count += 1
                 sink(c)
-        dfs_noip(pruned, alpha, sized)
+        dfs_noip(g, alpha, sized)
     else:
-        count = dfs_noip(pruned, alpha, sink)
+        count = dfs_noip(g, alpha, sink)
     return count, (time.perf_counter() - start) * 1000.0
 
 
@@ -169,6 +173,9 @@ def _parse_clique_file(g: UncertainGraph, path: str):
                 labels = [int(tok) for tok in parts[1:]]
             except ValueError:
                 raise UsageError(f"{path}:{line_no}: malformed clique line")
+            if len(set(labels)) < len(labels):
+                raise UsageError(f"{path}:{line_no}: malformed clique line "
+                                 "(repeated vertex)")
             verts = []
             for lab in labels:
                 if not g.has_label(lab):
@@ -180,6 +187,8 @@ def _parse_clique_file(g: UncertainGraph, path: str):
 def cmd_verify(args) -> int:
     alpha = _check_alpha_arg(args.alpha)
     g = _load_file(args.input, args.prob_model)
+    if args.complete and g.n > BRUTE_FORCE_MAX_N:
+        raise UsageError(f"--complete requires n <= {BRUTE_FORCE_MAX_N}")
     failures = 0
     seen: set[tuple[int, ...]] = set()
     for line_no, prob, verts in _parse_clique_file(g, args.cliques):
@@ -199,8 +208,6 @@ def cmd_verify(args) -> int:
                   f"stated {prob!r} actual {exact!r}")
             failures += 1
     if args.complete:
-        if g.n > BRUTE_FORCE_MAX_N:
-            raise UsageError(f"--complete requires n <= {BRUTE_FORCE_MAX_N}")
         expected = brute_force_enumerate(g, alpha).vertex_sets()
         for verts in sorted(expected - seen):
             print(f"MISSING: {sorted(g.label(v) for v in verts)}")
@@ -233,8 +240,9 @@ def cmd_generate(args) -> int:
 
 
 def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
-    """Run one (graph, algo, alpha, t) cell; timing covers only the
-    search (pruning and loading excluded)."""
+    """Run one (graph, algo, alpha, t) cell; timing covers the search,
+    large_mule's size filter included (loading and dfs_noip's alpha-prune
+    excluded)."""
     out_vertices = 0
     depth = 0
 

@@ -200,27 +200,35 @@ class TestFrameFreeLeaves:
 class TestSharedNeighborhoodFilter:
     def test_triangle_t3_unchanged(self):
         g = parse("1 2 0.9\n2 3 0.9\n1 3 0.9\n")
-        assert shared_neighborhood_filter(g, 3).num_edges == 3
+        assert shared_neighborhood_filter(g, 0.5, 3).num_edges == 3
+
+    def test_sub_alpha_edge_breaks_the_triangle(self):
+        g = parse("1 2 0.9\n2 3 0.9\n1 3 0.4\n")
+        assert shared_neighborhood_filter(g, 0.5, 2).num_edges == 2
+        assert shared_neighborhood_filter(g, 0.5, 3).num_edges == 0
 
     def test_path_t3_removes_everything(self):
-        assert shared_neighborhood_filter(parse(PATH_3), 3).num_edges == 0
+        assert shared_neighborhood_filter(parse(PATH_3), 0.5, 3).num_edges == 0
 
     def test_k4_minus_edge_t4_reaches_empty_fixpoint(self):
-        # without the 1-2 edge, no edge has 2 shared neighbors, and the
-        # vertex rule then clears the rest; checked against the oracle that
-        # no 4-clique exists
+        # without the 1-2 edge, no edge has 2 shared neighbors; checked
+        # against the oracle that no 4-clique exists
         g = parse("1 3 0.9\n1 4 0.9\n2 3 0.9\n2 4 0.9\n3 4 0.9\n")
-        assert shared_neighborhood_filter(g, 4).num_edges == 0
+        assert shared_neighborhood_filter(g, 0.5, 4).num_edges == 0
         oracle = brute_force_enumerate(g, 0.5)
         assert all(len(v) < 4 for v, _ in oracle.cliques)
 
     def test_preserves_large_cliques(self):
         g = build_extremal_graph(8, 0.5)
-        assert shared_neighborhood_filter(g, 4).num_edges == g.num_edges
+        assert shared_neighborhood_filter(g, 0.5, 4).num_edges == g.num_edges
 
     def test_rejects_t_below_two(self):
         with pytest.raises(ValueError):
-            shared_neighborhood_filter(parse(PATH_3), 1)
+            shared_neighborhood_filter(parse(PATH_3), 0.5, 1)
+
+    def test_rejects_alpha_out_of_range(self):
+        with pytest.raises(ValueError):
+            shared_neighborhood_filter(parse(PATH_3), 0.0, 3)
 
 
 class TestDfsNoip:

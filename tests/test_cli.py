@@ -5,9 +5,10 @@ import io
 
 import pytest
 
+import umc.cli
 from umc.cli import main
 from umc.generators import GenSpec
-from umc.graph import dump_graph, load_graph
+from umc.graph import dump_graph, load_graph, prune_by_alpha
 
 PATH_3 = "1 2 0.9\n2 3 0.8\n"
 
@@ -56,6 +57,24 @@ class TestEnumerate:
         n_lines = len(out.read_text().splitlines())
         assert n_lines == (2 if min_size == "1" else 1)
         assert f"cliques={n_lines} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo, min_size, prunes", [
+        ("mule", "1", 0), ("mule", "3", 0), ("dfs-noip", "1", 1)])
+    def test_only_dfs_noip_prunes(self, path_graph, tmp_path, monkeypatch,
+                                  algo, min_size, prunes):
+        # mule and large_mule apply alpha themselves; only the baseline
+        # gets an alpha-pruned copy of the graph
+        calls = []
+
+        def counted(g, alpha):
+            calls.append(alpha)
+            return prune_by_alpha(g, alpha)
+        monkeypatch.setattr(umc.cli, "prune_by_alpha", counted)
+        rc = main(["enumerate", "--input", path_graph, "--alpha", "0.75",
+                   "--algo", algo, "--min-size", min_size,
+                   "--out", str(tmp_path / "c.txt")])
+        assert rc == 0
+        assert len(calls) == prunes
 
     def test_min_size_filters(self, path_graph, tmp_path):
         out = tmp_path / "c.txt"
@@ -143,6 +162,19 @@ class TestVerify:
                    "--alpha", "0.75", "--complete"])
         assert rc == 1
         assert capsys.readouterr().out.count("PROBABILITY MISMATCH") == 2
+
+    def test_complete_refuses_large_graph_before_checking(self, tmp_path,
+                                                          capsys):
+        g = tmp_path / "er30.txt"
+        main(["generate", "--family", "er", "--n", "30", "--density", "0.5",
+              "--seed", "1", "--out", str(g)])
+        singleton = tmp_path / "c.txt"
+        singleton.write_text("1 1\n")  # not maximal: 1 has neighbours
+        capsys.readouterr()
+        rc = main(["verify", "--input", str(g), "--cliques", str(singleton),
+                   "--alpha", "0.5", "--complete"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestGenerate:
@@ -249,12 +281,17 @@ class TestBench:
            "--csv", "{tmp}/b.csv"]),
     ("x", ["generate", "--family", "ba", "--n", "20", "--m", "2",
            "--out", "{tmp}/g.txt"]),
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
+           "--alpha", "0.5"]),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
-        "bench-gen-odd-extremal", "generate-umc-seed"])
+        "bench-gen-odd-extremal", "generate-umc-seed",
+        "verify-repeated-vertex"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
                                 umc_seed, argv):
     monkeypatch.setenv("UMC_SEED", umc_seed)
+    # a clique line that repeats vertex 3 must not pass as the pair {3, 3}
+    (tmp_path / "repeat.txt").write_text("1 3 3\n")
     argv = [a.format(graph=path_graph, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

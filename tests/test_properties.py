@@ -6,7 +6,12 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from umc.algorithms import dfs_noip, large_mule, mule
+from umc.algorithms import (
+    dfs_noip,
+    large_mule,
+    mule,
+    shared_neighborhood_filter,
+)
 from umc.graph import (
     UncertainGraph,
     clique_probability,
@@ -67,11 +72,12 @@ def assert_pruning_is_invisible(g, alpha):
     """Each enumerator emits the same stream, in the same order and with
     bit-equal probabilities, whether or not sub-alpha edges are present."""
     pruned = prune_by_alpha(g, alpha)
-    for fn, args, kwargs in ((mule, (), {"check_invariants": True}),
-                             (large_mule, (3,), {"check_invariants": True}),
-                             (dfs_noip, (), {})):
+    runs = [(mule, (), {"check_invariants": True}), (dfs_noip, (), {})]
+    runs += [(large_mule, (t,), {"check_invariants": True})
+             for t in (2, 3, 4)]
+    for fn, args, kwargs in runs:
         assert emitted(fn, g, alpha, *args, **kwargs) == \
-            emitted(fn, pruned, alpha, *args, **kwargs), fn.__name__
+            emitted(fn, pruned, alpha, *args, **kwargs), (fn.__name__, args)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,6 +102,24 @@ def test_large_mule_threshold_above_every_degree_emits_nothing():
     t = max(g.degree(u) for u in range(g.n)) + 2
     for graph in (g, prune_by_alpha(g, 0.5)):
         assert emitted(large_mule, graph, 0.5, t, check_invariants=True) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(uncertain_graphs(max_n=12), alphas, st.integers(min_value=2, max_value=6))
+def test_filter_is_the_t_truss_of_the_alpha_subgraph(g, alpha, t):
+    """The filter reads only edges with p >= alpha, keeps no edge with
+    fewer than t-2 kept shared neighbours, and drops no edge of an
+    alpha-maximal clique of size >= t."""
+    kept = shared_neighborhood_filter(g, alpha, t)
+    assert list(kept.edges()) == \
+        list(shared_neighborhood_filter(prune_by_alpha(g, alpha), alpha,
+                                        t).edges())
+    for u, v, p in kept.edges():
+        assert p >= alpha and p == g.edge_prob(u, v)
+        assert len(kept.adj_set(u) & kept.adj_set(v)) >= t - 2
+    for verts in brute_force_enumerate(g, alpha).vertex_sets():
+        if len(verts) >= t:
+            assert all(kept.adjacent(u, v) for u, v in combinations(verts, 2))
 
 
 @settings(max_examples=100, deadline=None)
