@@ -286,5 +286,5 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:
     # A single vertex is an alpha-clique (probability 1), so each root
     # starts from its own neighbours, not from all n vertices.
     for v in range(g.n):
-        visit((v,), g.neighbors(v))
+        visit((v,), g.row(v))
     return count

@@ -70,7 +70,7 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 
 def _load_file(path: str, prob_model: str) -> UncertainGraph:
-    parser = coauthor_prob_parser if prob_model == "coauthor" else None
+    parser = coauthor_prob_parser if prob_model == "coauthor" else float
     try:
         with open(path) as fh:
             return load_graph(fh, prob_parser=parser)
@@ -155,11 +155,14 @@ def cmd_enumerate(args) -> int:
 
 
 def _parse_clique_file(g: UncertainGraph, path: str):
-    """Yield (line_no, prob, internal vertex tuple) from a clique stream."""
+    """(line_no, prob, internal vertex tuple) for every line of a clique
+    stream.  The whole file is read before any line is checked, so a
+    malformed line stops verify before it prints a verdict."""
     try:
         fh = open(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    entries = []
     with fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -176,12 +179,12 @@ def _parse_clique_file(g: UncertainGraph, path: str):
             if len(set(labels)) < len(labels):
                 raise UsageError(f"{path}:{line_no}: malformed clique line "
                                  "(repeated vertex)")
-            verts = []
-            for lab in labels:
-                if not g.has_label(lab):
-                    raise UsageError(f"{path}:{line_no}: unknown vertex {lab}")
-                verts.append(g.index(lab))
-            yield line_no, prob, tuple(sorted(verts))
+            try:
+                verts = sorted(g.index(lab) for lab in labels)
+            except KeyError as exc:
+                raise UsageError(f"{path}:{line_no}: unknown vertex {exc}")
+            entries.append((line_no, prob, tuple(verts)))
+    return entries
 
 
 def cmd_verify(args) -> int:

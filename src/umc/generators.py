@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import GraphFormatError, UncertainGraph
+from .graph import UncertainGraph
 from .oracle import build_extremal_graph
 
 
@@ -79,11 +79,12 @@ def coauthor_probability(c: int) -> float:
 
 
 def coauthor_prob_parser(token: str) -> float:
-    """prob_parser for graph.load_graph over weighted 'u v c' edge lists."""
+    """prob_parser for graph.load_graph over weighted 'u v c' edge lists.
+    Raises ValueError, which load_graph reports with the line number."""
     try:
         c = int(token)
     except ValueError:
-        raise GraphFormatError(f"paper count {token!r} is not an integer")
+        raise ValueError(f"paper count {token!r} is not an integer")
     return coauthor_probability(c)
 
 

@@ -42,6 +42,10 @@ class UncertainGraph:
     run in ascending order whatever order the edges were given in.  All
     accessors are pure reads, so instances are safe to share across
     threads after construction.
+
+    The constructor is the one place that enforces the graph rules: each
+    endpoint in 0..n-1, no self-loop, p in (0, 1] and no edge given twice.
+    Its ValueError messages name the external labels.
     """
 
     __slots__ = ("n", "num_edges", "_rows", "_labels", "_index",
@@ -51,27 +55,27 @@ class UncertainGraph:
                  labels: Iterable[int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        rows: list[dict[int, float]] = [{} for _ in range(n)]
-        for u, v, p in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"edge probability {p!r} outside (0, 1]")
-            if v in rows[u]:
-                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-            rows[u][v] = p
-            rows[v][u] = p
-        self.n = n
-        self.num_edges = sum(map(len, rows)) // 2
-        self._rows = tuple(dict(sorted(row.items())) for row in rows)
         if labels is None:
             lab = tuple(range(1, n + 1))
         else:
             lab = tuple(labels)
             if len(lab) != n or len(set(lab)) != n:
                 raise ValueError("labels must be a bijection onto the vertices")
+        rows: list[dict[int, float]] = [{} for _ in range(n)]
+        for u, v, p in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {lab[u]}")
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"probability {p} outside (0, 1]")
+            if v in rows[u]:
+                raise ValueError(f"duplicate edge {{{lab[u]}, {lab[v]}}}")
+            rows[u][v] = p
+            rows[v][u] = p
+        self.n = n
+        self.num_edges = sum(map(len, rows)) // 2
+        self._rows = tuple(dict(sorted(row.items())) for row in rows)
         self._labels = lab
         self._index = {ext: i for i, ext in enumerate(lab)}
         self._label_names: tuple[str, ...] | None = None
@@ -81,18 +85,8 @@ class UncertainGraph:
         probability.  Shared with the graph: callers must not mutate it."""
         return self._rows[u]
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Sorted neighbor indices of u."""
-        return tuple(self._rows[u])
-
     def adj_set(self, u: int) -> KeysView[int]:
         return self._rows[u].keys()
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self._rows[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._rows[u])
 
     def edge_prob(self, u: int, v: int) -> float:
         return self._rows[u][v]
@@ -123,15 +117,12 @@ class UncertainGraph:
         """Internal index of an external label; KeyError if unknown."""
         return self._index[label]
 
-    def has_label(self, label: int) -> bool:
-        return label in self._index
-
     def replace_edges(self, edges: Iterable[tuple[int, int, float]]) -> "UncertainGraph":
         """New graph on the same vertex set/labels with a different edge set."""
         return UncertainGraph(self.n, edges, self._labels)
 
 
-def load_graph(source: TextIO, prob_parser=None) -> UncertainGraph:
+def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     """Parse the edge-list text format.
 
     Lines are "u v p" with positive integer labels u != v and p in (0, 1];
@@ -142,13 +133,15 @@ def load_graph(source: TextIO, prob_parser=None) -> UncertainGraph:
 
     prob_parser maps the third token to a probability (default: float);
     pass generators.coauthor_prob_parser to ingest "u v c" weighted lists.
+
+    This function checks the text; UncertainGraph checks the graph rules
+    (self-loop, probability range, duplicate edge).  Either way a fault is
+    raised as GraphFormatError carrying the line number it was found on.
     """
-    if prob_parser is None:
-        prob_parser = _parse_probability
     header_n: int | None = None
     label_order: dict[int, int] = {}
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
+    edge_lines: list[int] = []
 
     def intern(ext: int, line_no: int) -> int:
         if ext <= 0:
@@ -185,30 +178,23 @@ def load_graph(source: TextIO, prob_parser=None) -> UncertainGraph:
             eu, ev = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError("vertex ids must be integers", line_no)
-        if eu == ev:
-            raise GraphFormatError(f"self-loop at vertex {eu}", line_no)
         u, v = intern(eu, line_no), intern(ev, line_no)
         try:
             p = prob_parser(parts[2])
-        except GraphFormatError:
-            raise
         except ValueError as exc:
             raise GraphFormatError(str(exc), line_no)
-        if not 0.0 < p <= 1.0:
-            raise GraphFormatError(f"probability {parts[2]} outside (0, 1]", line_no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {{{eu}, {ev}}}", line_no)
-        seen.add(key)
         edges.append((u, v, p))
+        edge_lines.append(line_no)
 
     n = header_n if header_n is not None else len(label_order)
     labels = None if header_n is not None else tuple(label_order)
-    return UncertainGraph(n, edges, labels)
-
-
-def _parse_probability(token: str) -> float:
-    return float(token)
+    rest = iter(edges)
+    try:
+        return UncertainGraph(n, rest, labels)
+    except ValueError as exc:
+        # The constructor stopped on the edge it took last from rest.
+        bad = len(edges) - 1 - sum(1 for _ in rest)
+        raise GraphFormatError(str(exc), edge_lines[bad])
 
 
 def dump_graph(g: UncertainGraph, out: TextIO) -> None:
@@ -275,7 +261,7 @@ def is_alpha_maximal(g: UncertainGraph, c: Iterable[int], alpha: float) -> bool:
     if q is None or q < alpha:
         return False
     cset = set(verts)
-    base = min(verts, key=g.degree)
+    base = min(verts, key=lambda u: len(g.row(u)))
     for w in g.row(base):
         if w in cset:
             continue

@@ -10,7 +10,6 @@ graph container and the direct product formula.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,13 +27,12 @@ BRUTE_FORCE_MAX_N = 25
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Canonically sorted (vertex tuple, probability) pairs plus wall time.
+    """Canonically sorted (vertex tuple, probability) pairs.
 
     The collection is non-redundant: no member contains another.
     """
 
     cliques: tuple[tuple[tuple[int, ...], float], ...]
-    elapsed: float
 
     def vertex_sets(self) -> set[tuple[int, ...]]:
         return {verts for verts, _ in self.cliques}
@@ -46,7 +44,6 @@ def brute_force_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
     check_alpha(alpha)
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {g.n}")
-    start = time.perf_counter()
     alpha_cliques: list[tuple[frozenset[int], tuple[int, ...], float]] = []
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
@@ -61,7 +58,7 @@ def brute_force_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
         if not any(fs < other for other, _, _ in kept):
             kept.append((fs, combo, q))
     result = tuple(sorted((combo, q) for _, combo, q in kept))
-    return OracleResult(result, time.perf_counter() - start)
+    return OracleResult(result)
 
 
 def max_clique_count_bound(n: int) -> int:

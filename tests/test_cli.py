@@ -177,6 +177,17 @@ class TestVerify:
         assert capsys.readouterr().out == ""
 
 
+    def test_malformed_later_line_stops_before_any_verdict(
+            self, path_graph, tmp_path, capsys):
+        # line 1 alone would be reported NOT ALPHA-MAXIMAL
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1.0 2\n1 3 3\n")
+        rc = main(["verify", "--input", path_graph, "--cliques", str(bad),
+                   "--alpha", "0.75"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestGenerate:
     def test_extremal_k8(self, tmp_path):
         out = tmp_path / "k8.txt"
@@ -262,38 +273,49 @@ class TestBench:
         assert rc == 2
 
 
-@pytest.mark.parametrize("umc_seed, argv", [
+@pytest.mark.parametrize("umc_seed, argv, message", [
     ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
-           "--alpha", "0.5"]),
+           "--alpha", "0.5"], "cannot read"),
     ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
-           "--out", "{tmp}/no_such_dir/x"]),
+           "--out", "{tmp}/no_such_dir/x"], "cannot write"),
     ("0", ["generate", "--family", "ba", "--n", "20", "--m", "2",
-           "--out", "{tmp}/no_such_dir/x"]),
+           "--out", "{tmp}/no_such_dir/x"], "cannot write"),
     ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--csv", "{tmp}/no_such_dir/x"]),
+           "--csv", "{tmp}/no_such_dir/x"], "cannot write"),
     ("0", ["bench", "--input", "{graph}", "--alphas", "x",
-           "--csv", "{tmp}/b.csv"]),
+           "--csv", "{tmp}/b.csv"], "--alphas: malformed list 'x'"),
     ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--min-sizes", "a", "--csv", "{tmp}/b.csv"]),
+           "--min-sizes", "a", "--csv", "{tmp}/b.csv"],
+     "--min-sizes: malformed list 'a'"),
     ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--algos", "large-mule", "--csv", "{tmp}/b.csv"]),
+           "--algos", "large-mule", "--csv", "{tmp}/b.csv"],
+     "unknown algorithm 'large-mule'"),
     ("0", ["bench", "--gen", "extremal:n=7,alpha=0.5", "--alphas", "0.5",
-           "--csv", "{tmp}/b.csv"]),
+           "--csv", "{tmp}/b.csv"], "bad generator spec"),
     ("x", ["generate", "--family", "ba", "--n", "20", "--m", "2",
-           "--out", "{tmp}/g.txt"]),
+           "--out", "{tmp}/g.txt"], "UMC_SEED must be an integer"),
     ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
-           "--alpha", "0.5"]),
+           "--alpha", "0.5"], "repeat.txt:1: malformed clique line"),
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/unknown.txt",
+           "--alpha", "0.5"], "unknown.txt:1: unknown vertex 9"),
+    ("0", ["enumerate", "--input", "{tmp}/co.txt", "--prob-model", "coauthor",
+           "--alpha", "0.5"],
+     "co.txt: line 2: paper count 'x' is not an integer"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "generate-umc-seed",
-        "verify-repeated-vertex"])
+        "verify-repeated-vertex", "verify-unknown-vertex",
+        "enumerate-coauthor-count"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
-                                umc_seed, argv):
+                                umc_seed, argv, message):
     monkeypatch.setenv("UMC_SEED", umc_seed)
     # a clique line that repeats vertex 3 must not pass as the pair {3, 3}
     (tmp_path / "repeat.txt").write_text("1 3 3\n")
+    (tmp_path / "unknown.txt").write_text("1.0 9\n")
+    (tmp_path / "co.txt").write_text("1 2 3\n2 3 x\n")
     argv = [a.format(graph=path_graph, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert message in err
     assert "Traceback" not in err

@@ -4,9 +4,13 @@ probability/maximality primitives."""
 import io
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umc
 from umc.graph import (
     GraphFormatError,
     NotACliqueError,
@@ -53,7 +57,7 @@ class TestLoadGraph:
     def test_header_declares_isolated_vertices(self):
         g = parse("n 5\n1 2 0.9\n")
         assert g.n == 5
-        assert g.degree(4) == 0
+        assert g.row(4) == {}
 
     def test_header_bounds_labels(self):
         with pytest.raises(GraphFormatError, match="exceeds"):
@@ -68,6 +72,28 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="line 1"):
             parse("1 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\n1 2 0.5\n7 7 0.5\n", "line 4: self-loop at vertex 7"),
+        ("1 2 0.9\n2 1 0.7\n", "line 2: duplicate edge {2, 1}"),
+        ("7 3 0.5\n1 2 0.5\n3 7 0.4\n", "line 3: duplicate edge {3, 7}"),
+        ("1 2 1.5\n", "line 1: probability 1.5 outside (0, 1]"),
+        ("1 2 0.5\n2 3 nan\n", "line 2: probability nan outside (0, 1]"),
+        ("1 2 -0.5\n", "line 1: probability -0.5 outside (0, 1]"),
+        ("1 2 0.5\n0 2 0.5\n", "line 2: vertex id 0 must be positive"),
+        ("n 2\n1 3 0.9\n", "line 2: vertex id 3 exceeds declared count 2"),
+        ("1 b 0.5\n", "line 1: vertex ids must be integers"),
+        ("1 2\n", "line 1: expected 'u v p'"),
+        ("1 2 0.5\nn 3\n", "line 2: header must precede all edges"),
+    ], ids=["self-loop", "reverse-duplicate", "headerless-duplicate",
+            "p-above-one", "p-nan", "p-negative", "id-zero",
+            "id-above-header", "id-not-integer", "two-tokens",
+            "late-header"])
+    def test_single_fault_message(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert info.value.line_no == int(message.split()[1].rstrip(":"))
+
     def test_round_trip_is_bit_exact(self):
         g = parse("n 4\n1 2 0.12345678901234567\n2 3 0.9999999999999999\n")
         buf = io.StringIO()
@@ -81,21 +107,19 @@ def assert_rows_ascending_and_symmetric(g):
     for u in range(g.n):
         row = g.row(u)
         assert list(row) == sorted(row)
-        assert g.neighbors(u) == tuple(row)
-        assert g.degree(u) == len(row)
         for v, p in row.items():
             assert g.row(v)[u] == p
             assert g.edge_prob(u, v) == g.edge_prob(v, u) == p
-            assert g.adjacent(u, v) and v in g.adj_set(u)
+            assert v in g.adj_set(u)
 
 
 class TestUncertainGraph:
     def test_adjacency_symmetric_and_sorted(self):
         g = parse("1 3 0.5\n1 2 0.5\n")
-        assert g.neighbors(0) == (1, 2)
+        assert list(g.row(0)) == [1, 2]
         for u in range(g.n):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in g.row(u):
+                assert u in g.row(v)
 
     def test_rows_ascending_for_shuffled_edges(self):
         edges = [(u, v, (u + 1) / (v + 2)) for u in range(7)
@@ -128,7 +152,7 @@ class TestUncertainGraph:
         h = g.replace_edges([(3, 0, 0.25)])
         assert (h.n, h.num_edges, h.label(3)) == (4, 1, 8)
         assert list(h.edges()) == [(0, 3, 0.25)]
-        assert g.num_edges == 3 and h.degree(1) == 0
+        assert g.num_edges == 3 and h.row(1) == {}
 
     @pytest.mark.parametrize("text, vertices, expected", [
         ("n 12\n1 2 0.5\n", (0, 3, 11), "1 4 12"),
@@ -139,6 +163,11 @@ class TestUncertainGraph:
         g = parse(text)
         assert g.label_text(vertices) == expected
         assert g.label_text(vertices) == expected  # after the names are cached
+
+    def test_errors_name_external_labels(self):
+        with pytest.raises(ValueError) as info:
+            UncertainGraph(2, [(0, 0, 0.5)], labels=(7, 9))
+        assert str(info.value) == "self-loop at vertex 7"
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -209,3 +238,13 @@ class TestIsAlphaMaximal:
         g = parse(PATH_3)
         with pytest.raises(ValueError):
             is_alpha_maximal(g, (), 0.5)
+
+
+def test_library_modules_load_without_numpy():
+    """numpy serves only the generators and the Monte-Carlo estimator;
+    loading a graph and enumerating must not import it."""
+    code = "import sys, umc.graph, umc.algorithms; print('numpy' in sys.modules)"
+    src = str(Path(umc.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
