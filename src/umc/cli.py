@@ -172,6 +172,10 @@ def _parse_clique_file(g: UncertainGraph, path: str):
             if len(parts) < 2:
                 raise UsageError(f"{path}:{line_no}: expected '<prob> <v1> ...'")
             try:
+                # float() and int() also take '_', non-ASCII digits and '+3'
+                if ("_" in line or not line.isascii()
+                        or not all(map(str.isdigit, parts[1:]))):
+                    raise ValueError
                 prob = float(parts[0])
                 labels = [int(tok) for tok in parts[1:]]
             except ValueError:

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .graph import UncertainGraph
 from .oracle import build_extremal_graph
 
@@ -24,6 +22,13 @@ class DeterministicGraph:
     edges: tuple[tuple[int, int], ...]
 
 
+def _rng(seed: int):
+    # numpy is imported here, not at the top, so that importing umc.cli
+    # does not load it for the commands that draw no random number.
+    import numpy as np
+    return np.random.default_rng(seed)
+
+
 def gen_barabasi_albert(n: int, m_per_vertex: int, seed: int) -> DeterministicGraph:
     """Preferential-attachment graph: start from a clique on m+1 vertices,
     then attach each new vertex to m distinct existing vertices chosen with
@@ -32,7 +37,7 @@ def gen_barabasi_albert(n: int, m_per_vertex: int, seed: int) -> DeterministicGr
     m = m_per_vertex
     if not 1 <= m < n:
         raise ValueError("need 1 <= m_per_vertex < n")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     edges: list[tuple[int, int]] = list(combinations(range(m + 1), 2))
     # One slot per degree unit; sampling a slot uniformly picks a vertex
     # with probability proportional to its degree.
@@ -54,9 +59,8 @@ def gen_erdos_renyi(n: int, density: float, seed: int) -> DeterministicGraph:
         raise ValueError("density must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
     pairs = list(combinations(range(n), 2))
-    mask = rng.random(len(pairs)) < density
+    mask = _rng(seed).random(len(pairs)) < density
     return DeterministicGraph(n, tuple(p for p, keep in zip(pairs, mask) if keep))
 
 
@@ -66,8 +70,8 @@ def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainG
     Drawn as 1 - u with u in [0, 1) so the endpoint 0 is excluded and 1 is
     attainable, matching the probability codomain.
     """
-    rng = np.random.default_rng(seed)
-    draws = 1.0 - rng.random(len(g.edges))
+    # tolist(): the graph holds Python floats, not numpy.float64 scalars
+    draws = (1.0 - _rng(seed).random(len(g.edges))).tolist()
     return UncertainGraph(g.n, [(u, v, p) for (u, v), p in zip(g.edges, draws)])
 
 
@@ -81,11 +85,9 @@ def coauthor_probability(c: int) -> float:
 def coauthor_prob_parser(token: str) -> float:
     """prob_parser for graph.load_graph over weighted 'u v c' edge lists.
     Raises ValueError, which load_graph reports with the line number."""
-    try:
-        c = int(token)
-    except ValueError:
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"paper count {token!r} is not an integer")
-    return coauthor_probability(c)
+    return coauthor_probability(int(token))
 
 
 @dataclass(frozen=True)

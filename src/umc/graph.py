@@ -151,29 +151,28 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
                 raise GraphFormatError(
                     f"vertex id {ext} exceeds declared count {header_n}", line_no)
             return ext - 1
-        if ext not in label_order:
-            label_order[ext] = len(label_order)
-        return label_order[ext]
+        return label_order.setdefault(ext, len(label_order))
 
     for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
+        # int() and float() also take '_', non-ASCII digits and '+3' (below)
+        if "_" in raw or not raw.isascii():
+            raise GraphFormatError("'_' or non-ASCII character", line_no)
         if parts[0] == "n":
-            if header_n is not None or edges:
+            if header_n is not None:
+                raise GraphFormatError("header given twice", line_no)
+            if edges:
                 raise GraphFormatError("header must precede all edges", line_no)
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[1].isdigit():
                 raise GraphFormatError("header must be 'n <count>'", line_no)
-            try:
-                header_n = int(parts[1])
-            except ValueError:
-                raise GraphFormatError("header count is not an integer", line_no)
-            if header_n < 0:
-                raise GraphFormatError("vertex count must be non-negative", line_no)
+            header_n = int(parts[1])
             continue
         if len(parts) != 3:
             raise GraphFormatError("expected 'u v p'", line_no)
+        if parts[0][0] == "+" or parts[1][0] == "+":
+            raise GraphFormatError("vertex ids must not carry a '+'", line_no)
         try:
             eu, ev = int(parts[0]), int(parts[1])
         except ValueError:

@@ -10,10 +10,9 @@ graph container and the direct product formula.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .graph import (
     UncertainGraph,
@@ -122,19 +121,15 @@ def estimate_clique_probability(g: UncertainGraph, c, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     clique_probability(g, c)  # raises NotACliqueError if not a clique
-    verts = sorted(set(c))
-    probs = np.array([g.edge_prob(u, v) for u, v in combinations(verts, 2)])
-    if probs.size == 0:
-        return 1.0, 0.0
-    rng = np.random.default_rng(seed)
+    probs = [g.row(u)[v] for u, v in combinations(sorted(set(c)), 2)]
+    rand = random.Random(seed).random
     hits = 0
-    remaining = samples
-    chunk = max(1, 8_000_000 // probs.size)
-    while remaining > 0:
-        b = min(chunk, remaining)
-        worlds = rng.random((b, probs.size)) < probs
-        hits += int(worlds.all(axis=1).sum())
-        remaining -= b
+    for _ in range(samples):
+        for p in probs:
+            if rand() >= p:
+                break  # this edge is absent from the sampled world
+        else:
+            hits += 1
     est = hits / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)
     return est, stderr

@@ -3,6 +3,7 @@ the size-thresholded variant, pre-filtering, and the baseline."""
 
 import io
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -246,3 +247,19 @@ class TestDfsNoip:
     def test_matches_mule_on_extremal(self):
         g = build_extremal_graph(8, 0.5)
         assert collect(dfs_noip, g, 0.5) == collect(mule, g, 0.5)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known wrong answer: float products taken in different orders fall on "
+    "opposite sides of alpha; mule and large_mule give {1,2} {2,3}, "
+    "dfs_noip {1,2} {1,3}, the oracle all three pairs"))
+def test_enumerators_agree_when_a_product_rounds_across_alpha():
+    g = parse("n 3\n1 2 0.6\n1 3 0.2\n2 3 0.7\n")
+    alpha = 0.084
+    # Exactly, the triangle is below alpha, so every edge is maximal.
+    assert Fraction(0.6) * Fraction(0.2) * Fraction(0.7) < Fraction(alpha)
+    expected = brute_force_enumerate(g, alpha).vertex_sets()
+    assert expected == {(0, 1), (0, 2), (1, 2)}
+    assert set(collect(mule, g, alpha)) == expected
+    assert set(collect(large_mule, g, alpha, 2)) == expected
+    assert set(collect(dfs_noip, g, alpha)) == expected

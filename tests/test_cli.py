@@ -2,9 +2,13 @@
 
 import csv
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umc
 import umc.cli
 from umc.cli import main
 from umc.generators import GenSpec
@@ -301,11 +305,27 @@ class TestBench:
     ("0", ["enumerate", "--input", "{tmp}/co.txt", "--prob-model", "coauthor",
            "--alpha", "0.5"],
      "co.txt: line 2: paper count 'x' is not an integer"),
+    # Python literal syntax that int() and float() accept
+    ("0", ["enumerate", "--input", "{tmp}/literal.txt", "--alpha", "0.01"],
+     "literal.txt: line 1: '_' or non-ASCII character"),
+    ("0", ["enumerate", "--input", "{tmp}/plus.txt", "--alpha", "0.01"],
+     "plus.txt: line 1: vertex ids must not carry a '+'"),
+    ("0", ["enumerate", "--input", "{tmp}/co-plus.txt", "--prob-model",
+           "coauthor", "--alpha", "0.5"],
+     "co-plus.txt: line 1: paper count '+3' is not an integer"),
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-under.txt",
+           "--alpha", "0.5"], "c-under.txt:1: malformed clique line"),
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-plus.txt",
+           "--alpha", "0.5"], "c-plus.txt:2: malformed clique line"),
+    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-digit.txt",
+           "--alpha", "0.5"], "c-digit.txt:1: malformed clique line"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "generate-umc-seed",
         "verify-repeated-vertex", "verify-unknown-vertex",
-        "enumerate-coauthor-count"])
+        "enumerate-coauthor-count", "enumerate-underscore", "enumerate-plus",
+        "enumerate-coauthor-plus", "verify-underscore", "verify-plus",
+        "verify-non-ascii-digit"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
                                 umc_seed, argv, message):
     monkeypatch.setenv("UMC_SEED", umc_seed)
@@ -313,9 +333,39 @@ def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
     (tmp_path / "repeat.txt").write_text("1 3 3\n")
     (tmp_path / "unknown.txt").write_text("1.0 9\n")
     (tmp_path / "co.txt").write_text("1 2 3\n2 3 x\n")
+    (tmp_path / "literal.txt").write_text("1_0 2 0.5\n+3 2 0.1_1\n")
+    (tmp_path / "plus.txt").write_text("+3 2 0.1\n")
+    (tmp_path / "co-plus.txt").write_text("1 2 +3\n")
+    # each line would read as a maximal clique of the path graph
+    (tmp_path / "c-under.txt").write_text("0.9_0 1 2\n")
+    (tmp_path / "c-plus.txt").write_text("0.9 1 2\n0.8 +2 3\n")
+    (tmp_path / "c-digit.txt").write_text("0.8 \u0662 3\n")
     argv = [a.format(graph=path_graph, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_commands_without_random_draws_run_without_numpy(tmp_path):
+    """enumerate, verify and the extremal generator draw no random number,
+    so they run in an interpreter where importing numpy fails."""
+    graph = tmp_path / "path3.txt"
+    graph.write_text(PATH_3)
+    cliques = str(tmp_path / "cliques.txt")
+    runs = [
+        ["enumerate", "--input", str(graph), "--alpha", "0.5",
+         "--out", cliques],
+        ["verify", "--input", str(graph), "--cliques", cliques,
+         "--alpha", "0.5", "--complete"],
+        ["generate", "--family", "extremal", "--n", "8", "--alpha", "0.5",
+         "--out", str(tmp_path / "k8.txt")],
+    ]
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from umc.cli import main; "
+            f"print([main(argv) for argv in {runs!r}])")
+    src = str(Path(umc.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[0, 0, 0]", out.stderr

@@ -8,6 +8,7 @@ import pytest
 from umc.generators import (
     GenSpec,
     assign_uniform_probabilities,
+    coauthor_prob_parser,
     coauthor_probability,
     gen_barabasi_albert,
     gen_erdos_renyi,
@@ -74,6 +75,13 @@ class TestProbabilityAssignment:
         b = assign_uniform_probabilities(g, seed=4)
         assert list(a.edges()) == list(b.edges())
 
+    @pytest.mark.parametrize("spec", ["ba:n=300,m=5,seed=3",
+                                      "er:n=30,density=0.5,seed=3"])
+    def test_graph_holds_python_floats(self, spec):
+        g = GenSpec.parse(spec).build()
+        assert g.num_edges > 0
+        assert all(type(p) is float for _, _, p in g.edges())
+
 
 class TestCoauthorProbability:
     def test_ten_papers(self):
@@ -90,6 +98,12 @@ class TestCoauthorProbability:
     def test_rejects_non_positive(self, c):
         with pytest.raises(ValueError):
             coauthor_probability(c)
+
+    # Python literal syntax that int() accepts
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+    def test_parser_refuses_non_decimal_counts(self, token):
+        with pytest.raises(ValueError, match="is not an integer"):
+            coauthor_prob_parser(token)
 
 
 class TestGenSpec:

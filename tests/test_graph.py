@@ -84,10 +84,25 @@ class TestLoadGraph:
         ("1 b 0.5\n", "line 1: vertex ids must be integers"),
         ("1 2\n", "line 1: expected 'u v p'"),
         ("1 2 0.5\nn 3\n", "line 2: header must precede all edges"),
+        ("n 3\nn 3\n", "line 2: header given twice"),
+        # Python literal syntax that int() and float() accept
+        ("1_0 2 0.5\n", "line 1: '_' or non-ASCII character"),
+        ("1 2 0.5\n3 2 0.1_1\n", "line 2: '_' or non-ASCII character"),
+        ("n 1_0\n", "line 1: '_' or non-ASCII character"),
+        ("1 \u0663 0.5\n", "line 1: '_' or non-ASCII character"),
+        ("1 2 0.\u0665\n", "line 1: '_' or non-ASCII character"),
+        ("n \uff13\n1 2 0.5\n", "line 1: '_' or non-ASCII character"),
+        ("1 2 0.5\n+3 2 0.1\n", "line 2: vertex ids must not carry a '+'"),
+        ("1 +2 0.5\n", "line 1: vertex ids must not carry a '+'"),
+        ("n +3\n1 2 0.5\n", "line 1: header must be 'n <count>'"),
+        ("n -1\n", "line 1: header must be 'n <count>'"),
     ], ids=["self-loop", "reverse-duplicate", "headerless-duplicate",
             "p-above-one", "p-nan", "p-negative", "id-zero",
             "id-above-header", "id-not-integer", "two-tokens",
-            "late-header"])
+            "late-header", "header-twice", "id-underscore", "p-underscore",
+            "count-underscore", "id-arabic-indic-digit", "p-arabic-indic-digit",
+            "count-fullwidth-digit", "id-plus", "second-id-plus",
+            "count-plus", "count-negative"])
     def test_single_fault_message(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse(text)
@@ -241,9 +256,10 @@ class TestIsAlphaMaximal:
 
 
 def test_library_modules_load_without_numpy():
-    """numpy serves only the generators and the Monte-Carlo estimator;
-    loading a graph and enumerating must not import it."""
-    code = "import sys, umc.graph, umc.algorithms; print('numpy' in sys.modules)"
+    """numpy serves only the seeded BA and ER generators, which import it
+    when they draw; importing any module, the CLI included, must not."""
+    code = ("import sys, umc.graph, umc.algorithms, umc.oracle, "
+            "umc.generators, umc.cli; print('numpy' in sys.modules)")
     src = str(Path(umc.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
