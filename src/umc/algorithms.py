@@ -15,10 +15,12 @@ row (UncertainGraph.row), keeping only edges with p >= alpha, and run one
 depth-first search per root; no search step scans vertices outside a
 neighbourhood.  Each step reads the added vertex's row once and does one
 dict lookup per candidate; a child left with no extension candidates is
-decided in place, without a frame.  large_mule's shared_neighborhood_filter
-reads only the edges with p >= alpha too, so mule and large_mule take the
-graph as loaded.  Only dfs_noip, which recomputes products over every edge
-it sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
+decided in place, without a frame.  A factor ceiling, a bound on every
+cached factor of a frame, decides cliques at the threshold unscanned.
+large_mule's shared_neighborhood_filter reads only the edges with
+p >= alpha too, so mule and large_mule take the graph as loaded.  Only
+dfs_noip, which recomputes products over every edge it sees, runs faster
+on an alpha-pruned copy (graph.prune_by_alpha).
 """
 
 from __future__ import annotations
@@ -52,15 +54,17 @@ class _Frame:
              q*r is the probability of clique+{u} and is >= alpha
     excl     exclusion witnesses (v, s), v < max(clique), v not in clique;
              q*s is the probability of clique+{v} and is >= alpha
+    cap      factor ceiling: bounds every factor ext and excl ever hold
     """
 
-    __slots__ = ("clique", "q", "ext", "excl", "i")
+    __slots__ = ("clique", "q", "ext", "excl", "cap", "i")
 
-    def __init__(self, clique, q, ext, excl):
+    def __init__(self, clique, q, ext, excl, cap):
         self.clique = clique
         self.q = q
         self.ext = ext
         self.excl = excl
+        self.cap = cap
         self.i = 0  # next extension index to process
 
 
@@ -102,9 +106,10 @@ def _enumerate(g, alpha, sink, *, min_size, check_invariants):
     excl those below, each with its edge probability as the cached factor
     and only where that is >= alpha.  Every vertex below u that could
     extend a clique containing u is adjacent to u, so excl holds every
-    witness the search below needs.
+    witness the search below needs.  Its factor ceiling is rowmax[u].
     """
     check_alpha(alpha)
+    rowmax = [max(g.row(u).values(), default=0.0) for u in range(g.n)]
     count = 0
     for u in range(g.n):
         items = g.row(u).items()
@@ -115,8 +120,8 @@ def _enumerate(g, alpha, sink, *, min_size, check_invariants):
         if check_invariants:
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
-            count += _search(g, _Frame((u,), 1.0, ext, excl), alpha, sink,
-                             min_size=min_size,
+            count += _search(g, _Frame((u,), 1.0, ext, excl, rowmax[u]),
+                             rowmax, alpha, sink, min_size=min_size,
                              check_invariants=check_invariants)
         elif not excl:
             sink(Clique((u,), 1.0))
@@ -124,11 +129,19 @@ def _enumerate(g, alpha, sink, *, min_size, check_invariants):
     return count
 
 
-def _search(g, root, alpha, sink, *, min_size, check_invariants):
+def _search(g, root, rowmax, alpha, sink, *, min_size, check_invariants):
     """Emit the alpha-maximal cliques in root's subtree; returns the count.
 
     A child whose ext comes out empty is a leaf, decided without a frame:
     it is maximal exactly when no exclusion witness survives its addition.
+    A factor ceiling decides it without a scan: every test that could
+    extend c2 = C+{u} multiplies q2 by some r*p <= fr.cap, and rounding is
+    monotone, so q2*fr.cap < alpha leaves c2 nothing to extend it with.
+    c2's own factors are at most cap2 = fr.cap*rowmax[u]; when
+    (q2*cap2)*cap2 < alpha each of its children is such a leaf, emitted
+    straight from ext2.  A ceiling only skips tests that would fail, so
+    the output is unchanged; under check_invariants the tests run anyway
+    and must agree.
     """
     count = 0
     # Explicit frame stack: depth reaches the largest clique size, up to n,
@@ -143,19 +156,29 @@ def _search(g, root, alpha, sink, *, min_size, check_invariants):
         fr.i += 1
         q2 = fr.q * r
         c2 = fr.clique + (u,)
-        ext2 = _filter_extension(g, u, q2, fr.ext, fr.i, alpha)
+        capped = q2 * fr.cap < alpha
+        ext2 = ([] if capped and not check_invariants
+                else _filter_extension(g, u, q2, fr.ext, fr.i, alpha))
         if min_size is not None and len(c2) + len(ext2) < min_size:
             continue  # subtree cannot reach the size threshold
-        if ext2 or check_invariants:
+        cap2 = fr.cap * rowmax[u]
+        if ext2 and not check_invariants and q2 * cap2 * cap2 < alpha:
+            if min_size is None or len(c2) + 1 >= min_size:
+                for w, r2 in ext2:
+                    sink(Clique(c2 + (w,), q2 * r2))
+                count += len(ext2)
+        elif ext2 or check_invariants:
             excl2 = _filter_exclusion(g, u, q2, fr.excl, alpha)
             if check_invariants:
                 _check_frame(g, c2, q2, ext2, excl2, alpha)
+                if capped and (ext2 or excl2):
+                    raise InvariantViolation(f"{c2} grows past its ceiling")
             if ext2:
-                stack.append(_Frame(c2, q2, ext2, excl2))
+                stack.append(_Frame(c2, q2, ext2, excl2, cap2))
             elif not excl2:
                 sink(Clique(c2, q2))
                 count += 1
-        elif not _has_witness(g, u, q2, fr.excl, alpha):
+        elif capped or not _has_witness(g, u, q2, fr.excl, alpha):
             sink(Clique(c2, q2))
             count += 1
         # u's subtree is settled before any later sibling is expanded, so

@@ -29,6 +29,7 @@ from .graph import (
     dump_graph,
     is_alpha_maximal,
     load_graph,
+    number,
     prune_by_alpha,
 )
 from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate
@@ -47,10 +48,19 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad option is one more UsageError
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def integer(text: str) -> int:
+    return number(text, int)
+
+
 def default_seed() -> int:
     text = os.environ.get("UMC_SEED", "0")
     try:
-        return int(text)
+        return integer(text)
     except ValueError:
         raise UsageError(f"UMC_SEED must be an integer, got {text!r}")
 
@@ -269,12 +279,12 @@ def cmd_bench(args) -> int:
         raise UsageError("bench requires --input and/or --gen")
     seed = args.seed if args.seed is not None else default_seed()
     alphas = [_check_alpha_arg(a)
-              for a in _parse_list(args.alphas, float, "--alphas")]
+              for a in _parse_list(args.alphas, number, "--alphas")]
     algos = args.algos.split(",")
     for algo in algos:
         if algo not in ALGOS:
             raise UsageError(f"unknown algorithm {algo!r}")
-    min_sizes = _parse_list(args.min_sizes, int, "--min-sizes")
+    min_sizes = _parse_list(args.min_sizes, integer, "--min-sizes")
     if any(t < 1 for t in min_sizes):
         raise UsageError("--min-sizes entries must be >= 1")
 
@@ -307,16 +317,16 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umc",
         description="Maximal clique enumeration on uncertain graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="enumerate alpha-maximal cliques")
     p_enum.add_argument("--input", required=True)
-    p_enum.add_argument("--alpha", type=float, required=True)
+    p_enum.add_argument("--alpha", type=number, required=True)
     p_enum.add_argument("--algo", choices=ALGOS, default="mule")
-    p_enum.add_argument("--min-size", type=int, default=1)
+    p_enum.add_argument("--min-size", type=integer, default=1)
     p_enum.add_argument("--canonical", action="store_true",
                         help="sort output lexicographically")
     p_enum.add_argument("--prob-model", choices=["prob", "coauthor"],
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a clique stream")
     p_ver.add_argument("--input", required=True)
     p_ver.add_argument("--cliques", required=True)
-    p_ver.add_argument("--alpha", type=float, required=True)
+    p_ver.add_argument("--alpha", type=number, required=True)
     p_ver.add_argument("--prob-model", choices=["prob", "coauthor"],
                        default="prob")
     p_ver.add_argument("--complete", action="store_true",
@@ -337,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic graph file")
     p_gen.add_argument("--family", choices=["ba", "er", "extremal"],
                        required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--m", type=int, default=10,
+    p_gen.add_argument("--n", type=integer, required=True)
+    p_gen.add_argument("--m", type=integer, default=10,
                        help="edges per new vertex (ba)")
-    p_gen.add_argument("--density", type=float, default=0.5, help="er density")
-    p_gen.add_argument("--alpha", type=float, help="extremal threshold")
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--density", type=number, default=0.5, help="er density")
+    p_gen.add_argument("--alpha", type=number, help="extremal threshold")
+    p_gen.add_argument("--seed", type=integer)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--min-sizes", default="1")
     p_bench.add_argument("--prob-model", choices=["prob", "coauthor"],
                          default="prob")
-    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--seed", type=integer)
     p_bench.add_argument("--csv", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -363,13 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code if exc.code is not None else 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

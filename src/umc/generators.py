@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import UncertainGraph
+from .graph import UncertainGraph, number
 from .oracle import build_extremal_graph
 
 
@@ -119,9 +119,9 @@ class GenSpec:
         for item in filter(None, rest.split(",")):
             key, _, val = item.partition("=")
             if key in cls._INT_KEYS:
-                kwargs[key] = int(val)
+                kwargs[key] = number(val, int)
             elif key in cls._FLOAT_KEYS:
-                kwargs[key] = float(val)
+                kwargs[key] = number(val)
             else:
                 raise ValueError(f"unknown generator parameter {key!r}")
         if "n" not in kwargs:

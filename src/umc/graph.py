@@ -196,6 +196,14 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         raise GraphFormatError(str(exc), edge_lines[bad])
 
 
+def number(text: str, kind=float):
+    """kind(text) under the data-file rules: int() and float() also take
+    '_', non-ASCII digits and (refused for an integer only) a '+'."""
+    if "_" in text or not text.isascii() or (kind is int and "+" in text):
+        raise ValueError(f"malformed number {text!r}")
+    return kind(text)
+
+
 def dump_graph(g: UncertainGraph, out: TextIO) -> None:
     """Write the edge-list format; round-trips bit-exactly through
     load_graph (probabilities printed with 17 significant digits).

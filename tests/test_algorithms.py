@@ -181,21 +181,65 @@ class TestFrameFreeLeaves:
         assert all(len(v) == n // 2 for v, _ in streams[0])
 
     def test_no_frame_is_pushed_for_a_leaf(self, monkeypatch):
-        pushed = []
-
-        class CountingFrame(algorithms._Frame):
-            __slots__ = ()
-
-            def __init__(self, clique, q, ext, excl):
-                pushed.append(len(ext))
-                super().__init__(clique, q, ext, excl)
-
-        monkeypatch.setattr(algorithms, "_Frame", CountingFrame)
-        # K6 at its extremal alpha: every 3-clique, and every 2-clique
-        # containing 5, is a leaf.  Frames go only to the roots 0..4 and to
-        # the ten 2-cliques inside {0..4}, each of which has an extension.
+        pushed = count_frames(monkeypatch)
+        # K6 at its extremal alpha: every edge has q = 0.5**(1/3).  A
+        # 2-clique {u, w} (probability q) has the factor ceiling q*q, and
+        # q * (q*q)**2 < 0.5, so its children, the 3-cliques, are decided
+        # from its ext without a frame.  Frames go only to the roots 0..4.
         assert len(collect(mule, build_extremal_graph(6, 0.5), 0.5)) == 20
-        assert len(pushed) == 5 + 10 and all(pushed)
+        assert len(pushed) == 5 and all(ext for _, ext in pushed)
+
+
+def count_frames(monkeypatch):
+    """(clique, ext) of every frame the search pushes, roots included."""
+    pushed = []
+
+    class CountingFrame(algorithms._Frame):
+        __slots__ = ()
+
+        def __init__(self, clique, q, ext, excl, cap):
+            pushed.append((clique, ext))
+            super().__init__(clique, q, ext, excl, cap)
+
+    monkeypatch.setattr(algorithms, "_Frame", CountingFrame)
+    return pushed
+
+
+class TestFactorCeiling:
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_no_frame_near_the_threshold_on_extremal_graphs(self, n,
+                                                            monkeypatch):
+        pushed = count_frames(monkeypatch)
+        assert len(collect(mule, build_extremal_graph(n, 0.5), 0.5)) == \
+            math.comb(n, n // 2)
+        assert pushed and all(len(c) < n // 2 - 1 for c, _ in pushed)
+
+    @pytest.mark.parametrize("text, expected", [
+        # {1,2} sits at alpha with the ceiling 1.0: q2 * cap == alpha, and
+        # vertex 3 extends it, so only a strict test is sound.
+        ("1 2 0.5\n1 3 1.0\n2 3 1.0\n", {(0, 1, 2)}),
+        # the same one level up: for {1,2}, (q2 * cap2) * cap2 == alpha, and
+        # its children {1,2,3}, {1,2,4} grow into {1,2,3,4}
+        ("1 2 0.5\n1 3 1.0\n2 3 1.0\n1 4 1.0\n2 4 1.0\n3 4 1.0\n",
+         {(0, 1, 2, 3)}),
+    ], ids=["leaf", "frame"])
+    def test_a_clique_at_the_ceiling_still_grows(self, text, expected):
+        g = parse(text)
+        for check in (False, True):
+            assert set(collect(mule, g, 0.5, check_invariants=check)) == \
+                expected
+        assert brute_force_enumerate(g, 0.5).vertex_sets() == expected
+
+    def test_children_decided_by_the_ceiling_obey_the_size_threshold(self):
+        # K4 at p = 0.8, alpha = 0.5: the triangles (0.512) are the
+        # alpha-maximal cliques.  Each 2-clique's children are decided by
+        # the ceiling, and none of them reaches t = 4.
+        g = UncertainGraph(4, [(u, v, 0.8) for u in range(4)
+                               for v in range(u + 1, 4)])
+        assert len(collect(large_mule, g, 0.5, 3)) == 4
+        for check in (False, True):
+            assert collect(large_mule, g, 0.5, 4,
+                           check_invariants=check) == {}
 
 
 class TestSharedNeighborhoodFilter:

@@ -319,13 +319,36 @@ class TestBench:
            "--alpha", "0.5"], "c-plus.txt:2: malformed clique line"),
     ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-digit.txt",
            "--alpha", "0.5"], "c-digit.txt:1: malformed clique line"),
+    # ... and the same syntax in an option or in UMC_SEED
+    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5_0"],
+     "argument --alpha: invalid number value: '0.5_0'"),
+    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
+           "--min-size", "+1_0"],
+     "argument --min-size: invalid integer value: '+1_0'"),
+    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
+           "--min-size", "+2"],
+     "argument --min-size: invalid integer value: '+2'"),
+    ("0", ["enumerate", "--input", "{graph}", "--alpha", "\u0660.5"],
+     "argument --alpha: invalid number value"),
+    ("1_0", ["generate", "--family", "ba", "--n", "20", "--m", "2",
+             "--out", "{tmp}/g.txt"], "UMC_SEED must be an integer, got '1_0'"),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5_0",
+           "--csv", "{tmp}/b.csv"], "--alphas: malformed list '0.5_0'"),
+    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
+           "--min-sizes", "1,+2", "--csv", "{tmp}/b.csv"],
+     "--min-sizes: malformed list '1,+2'"),
+    ("0", ["bench", "--gen", "ba:n=2_0,m=2", "--alphas", "0.5",
+           "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=2_0,m=2'"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "generate-umc-seed",
         "verify-repeated-vertex", "verify-unknown-vertex",
         "enumerate-coauthor-count", "enumerate-underscore", "enumerate-plus",
         "enumerate-coauthor-plus", "verify-underscore", "verify-plus",
-        "verify-non-ascii-digit"])
+        "verify-non-ascii-digit", "option-underscore", "option-plus-underscore",
+        "option-plus", "option-non-ascii-digit", "umc-seed-underscore",
+        "bench-alphas-underscore", "bench-min-sizes-plus",
+        "bench-gen-underscore"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
                                 umc_seed, argv, message):
     monkeypatch.setenv("UMC_SEED", umc_seed)

@@ -139,6 +139,33 @@ def test_kernel_stream_is_independent_of_invariant_checks(g, alpha):
     assert large == [c for c in full if len(c[0]) >= 3]
 
 
+@st.composite
+def ceiling_graphs(draw, max_n=10):
+    """A graph whose edges share a few probabilities, with alpha an exact
+    power of one of them, so that many cliques sit at alpha and the
+    kernel's factor ceilings fire."""
+    probs = draw(st.lists(st.sampled_from([0.3, 0.5, 0.6, 0.8, 0.9, 1.0]),
+                          min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [(u, v, draw(st.sampled_from(probs)))
+             for u, v in combinations(range(n), 2) if draw(st.booleans())]
+    alpha = draw(st.sampled_from(probs)) ** draw(st.integers(1, 6))
+    return UncertainGraph(n, edges), alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(ceiling_graphs())
+def test_ceiling_decisions_match_the_full_tests(case):
+    """Under check_invariants every ceiling decision is re-derived by the
+    full candidate filters, so mule and large_mule must emit the same
+    ordered stream, with bit-equal probabilities, with the checks on and
+    off."""
+    g, alpha = case
+    for fn, args in ((mule, ()), (large_mule, (2,)), (large_mule, (3,))):
+        assert emitted(fn, g, alpha, *args, check_invariants=False) == \
+            emitted(fn, g, alpha, *args, check_invariants=True), args
+
+
 @settings(max_examples=40, deadline=None)
 @given(uncertain_graphs(), alphas, st.integers(min_value=1, max_value=6))
 def test_large_mule_is_a_size_filter(g, alpha, t):
