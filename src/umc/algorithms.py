@@ -258,24 +258,42 @@ def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
     alpha-subgraph.  The vertex set (and labelling) is unchanged.  Each
     edge of an alpha-clique of size >= t has the clique's other vertices
     as shared neighbours, so every such clique survives intact.
+
+    The first round reads each vertex's alpha-neighbours as a tuple and
+    checks each edge (u, v), v > u, against a set made of u's tuple; sets
+    are built only for the edges that survive it.  An edge's shared count
+    falls only when an edge at one of its endpoints is dropped, so each
+    later round checks only the edges at a vertex that lost one in the
+    round before, and the filter stops after a round that drops nothing.
     """
     check_alpha(alpha)
     if t < 2:
         raise ValueError("size threshold must be >= 2 for filtering")
-    adj = [{v for v, p in g.row(u).items() if p >= alpha} for u in range(g.n)]
     need = t - 2
-    changed = True
-    while changed:
-        changed = False
-        for u in range(g.n):
-            for v in [w for w in adj[u] if w > u]:
-                if len(adj[u] & adj[v]) < need:
-                    adj[u].discard(v)
-                    adj[v].discard(u)
-                    changed = True
-    edges = [(u, v, g.row(u)[v])
-             for u in range(g.n) for v in adj[u] if u < v]
-    return g.replace_edges(edges)
+    nbrs = [tuple([v for v, p in g.row(u).items() if p >= alpha])
+            for u in range(g.n)]
+    adj: dict[int, set[int]] = {}
+    for u, nu in enumerate(nbrs):
+        if len(nu) <= need:
+            continue  # every edge at u has at most len(nu) - 1 shared
+        su = set(nu)
+        for v in nu:
+            if v > u and len(su.intersection(nbrs[v])) >= need:
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set()).add(u)
+    lost = [u for u, nu in enumerate(nbrs) if len(adj.get(u, ())) < len(nu)]
+    del nbrs
+    while lost:
+        dropped = set()
+        for u in lost:
+            au = adj.get(u, ())
+            for v in [w for w in au if len(au & adj[w]) < need]:
+                au.discard(v)
+                adj[v].discard(u)
+                dropped.update((u, v))
+        lost = dropped
+    return g.replace_edges((u, v, g.row(u)[v])
+                           for u in sorted(adj) for v in sorted(adj[u]) if u < v)
 
 
 def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:

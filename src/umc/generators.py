@@ -76,10 +76,16 @@ def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainG
 
 
 def coauthor_probability(c: int) -> float:
-    """Edge probability from a co-authored paper count: 1 - e^(-c/10)."""
+    """Edge probability from a co-authored paper count: 1 - e^(-c/10).
+
+    Exactly 1.0 from c = 375 up, and so for a count too large for a float.
+    """
     if c != int(c) or c <= 0:
         raise ValueError(f"paper count must be a positive integer, got {c!r}")
-    return 1.0 - math.exp(-c / 10.0)
+    try:
+        return 1.0 - math.exp(-c / 10.0)
+    except OverflowError:  # c has no float value
+        return 1.0
 
 
 def coauthor_prob_parser(token: str) -> float:

@@ -10,6 +10,9 @@ first appearance in the input file.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
+from itertools import islice
 from typing import Iterable, Iterator, KeysView, NamedTuple, TextIO
 
 
@@ -61,7 +64,10 @@ class UncertainGraph:
             lab = tuple(labels)
             if len(lab) != n or len(set(lab)) != n:
                 raise ValueError("labels must be a bijection onto the vertices")
-        rows: list[dict[int, float]] = [{} for _ in range(n)]
+        # One int object per vertex, shared by every row that holds it as
+        # a key (and by the label index), not one per edge end.
+        ids = list(range(n))
+        rows: list[dict[int, float]] = [{} for _ in ids]
         for u, v, p in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
@@ -69,15 +75,22 @@ class UncertainGraph:
                 raise ValueError(f"self-loop at vertex {lab[u]}")
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"probability {p} outside (0, 1]")
-            if v in rows[u]:
+            row = rows[u]
+            if v in row:
                 raise ValueError(f"duplicate edge {{{lab[u]}, {lab[v]}}}")
-            rows[u][v] = p
-            rows[v][u] = p
+            row[ids[v]] = p
+            rows[v][ids[u]] = p
+        # A row is ascending as built when its edges came in ascending
+        # order, as dump_graph writes them.  Any other row is re-sorted
+        # alone, so no second full set of rows is ever alive.
+        for u, row in enumerate(rows):
+            if not all(map(operator.lt, row, islice(row, 1, None))):
+                rows[u] = dict(sorted(row.items()))
         self.n = n
         self.num_edges = sum(map(len, rows)) // 2
-        self._rows = tuple(dict(sorted(row.items())) for row in rows)
+        self._rows = tuple(rows)
         self._labels = lab
-        self._index = {ext: i for i, ext in enumerate(lab)}
+        self._index = dict(zip(lab, ids))
         self._label_names: tuple[str, ...] | None = None
 
     def row(self, u: int) -> dict[int, float]:
@@ -122,6 +135,9 @@ class UncertainGraph:
         return UncertainGraph(self.n, edges, self._labels)
 
 
+_MAX_COUNT_DIGITS = len(str(sys.maxsize))
+
+
 def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     """Parse the edge-list text format.
 
@@ -140,8 +156,9 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     """
     header_n: int | None = None
     label_order: dict[int, int] = {}
-    edges: list[tuple[int, int, float]] = []
-    edge_lines: list[int] = []
+    # The parsed edges, unboxed: endpoints (internal indices, within a
+    # header count of at most sys.maxsize), probabilities and line numbers.
+    us, vs, ps, edge_lines = array("q"), array("q"), array("d"), array("q")
 
     def intern(ext: int, line_no: int) -> int:
         if ext <= 0:
@@ -163,11 +180,16 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         if parts[0] == "n":
             if header_n is not None:
                 raise GraphFormatError("header given twice", line_no)
-            if edges:
+            if us:
                 raise GraphFormatError("header must precede all edges", line_no)
             if len(parts) != 2 or not parts[1].isdigit():
                 raise GraphFormatError("header must be 'n <count>'", line_no)
-            header_n = int(parts[1])
+            # the length first: int() refuses more than 4300 digits
+            count = parts[1].lstrip("0") or "0"
+            if len(count) > _MAX_COUNT_DIGITS or int(count) > sys.maxsize:
+                raise GraphFormatError(
+                    f"vertex count exceeds {sys.maxsize}", line_no)
+            header_n = int(count)
             continue
         if len(parts) != 3:
             raise GraphFormatError("expected 'u v p'", line_no)
@@ -182,17 +204,19 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
             p = prob_parser(parts[2])
         except ValueError as exc:
             raise GraphFormatError(str(exc), line_no)
-        edges.append((u, v, p))
+        us.append(u)
+        vs.append(v)
+        ps.append(p)
         edge_lines.append(line_no)
 
     n = header_n if header_n is not None else len(label_order)
     labels = None if header_n is not None else tuple(label_order)
-    rest = iter(edges)
+    rest = zip(us, vs, ps)
     try:
         return UncertainGraph(n, rest, labels)
     except ValueError as exc:
         # The constructor stopped on the edge it took last from rest.
-        bad = len(edges) - 1 - sum(1 for _ in rest)
+        bad = len(us) - 1 - sum(1 for _ in rest)
         raise GraphFormatError(str(exc), edge_lines[bad])
 
 

@@ -125,6 +125,13 @@ class TestEnumerate:
         # isolated after pruning
         assert read_cliques(str(out)) == {(1, 2), (3,)}
 
+    def test_coauthor_count_beyond_float_range(self, tmp_path, capsys):
+        f = tmp_path / "dblp.txt"
+        f.write_text("1 2 1" + "0" * 400 + "\n")
+        assert main(["enumerate", "--input", str(f), "--prob-model",
+                     "coauthor", "--alpha", "1"]) == 0
+        assert capsys.readouterr().out == "1 1 2\n"
+
 
 class TestVerify:
     def test_round_trip(self, path_graph, tmp_path):
@@ -339,6 +346,8 @@ class TestBench:
      "--min-sizes: malformed list '1,+2'"),
     ("0", ["bench", "--gen", "ba:n=2_0,m=2", "--alphas", "0.5",
            "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=2_0,m=2'"),
+    ("0", ["enumerate", "--input", "{tmp}/huge.txt", "--alpha", "0.5"],
+     f"huge.txt: line 1: vertex count exceeds {sys.maxsize}"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "generate-umc-seed",
@@ -348,7 +357,7 @@ class TestBench:
         "verify-non-ascii-digit", "option-underscore", "option-plus-underscore",
         "option-plus", "option-non-ascii-digit", "umc-seed-underscore",
         "bench-alphas-underscore", "bench-min-sizes-plus",
-        "bench-gen-underscore"])
+        "bench-gen-underscore", "enumerate-count-beyond-maxsize"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
                                 umc_seed, argv, message):
     monkeypatch.setenv("UMC_SEED", umc_seed)
@@ -359,6 +368,7 @@ def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
     (tmp_path / "literal.txt").write_text("1_0 2 0.5\n+3 2 0.1_1\n")
     (tmp_path / "plus.txt").write_text("+3 2 0.1\n")
     (tmp_path / "co-plus.txt").write_text("1 2 +3\n")
+    (tmp_path / "huge.txt").write_text("n 1" + "0" * 400 + "\n1 2 0.5\n")
     # each line would read as a maximal clique of the path graph
     (tmp_path / "c-under.txt").write_text("0.9_0 1 2\n")
     (tmp_path / "c-plus.txt").write_text("0.9 1 2\n0.8 +2 3\n")

@@ -94,6 +94,12 @@ class TestCoauthorProbability:
         assert coauthor_probability(10_000) == pytest.approx(1.0)
         assert coauthor_probability(10_000) <= 1.0
 
+    def test_count_beyond_float_range_is_one(self):
+        # every count from 375 up gives exactly 1.0
+        assert coauthor_probability(375) == 1.0
+        assert coauthor_probability(10**400) == 1.0
+        assert coauthor_prob_parser("1" + "0" * 400) == 1.0
+
     @pytest.mark.parametrize("c", [0, -3])
     def test_rejects_non_positive(self, c):
         with pytest.raises(ValueError):

@@ -96,13 +96,26 @@ class TestLoadGraph:
         ("1 +2 0.5\n", "line 1: vertex ids must not carry a '+'"),
         ("n +3\n1 2 0.5\n", "line 1: header must be 'n <count>'"),
         ("n -1\n", "line 1: header must be 'n <count>'"),
+        # Refused before anything is allocated for the vertices.  A count
+        # from about 10**8 up to sys.maxsize passes and then allocates its
+        # vertices, so none is tried here.
+        ("n 1" + "0" * 400 + "\n1 2 0.5\n",
+         f"line 1: vertex count exceeds {sys.maxsize}"),
+        (f"# c\nn {sys.maxsize + 1}\n",
+         f"line 2: vertex count exceeds {sys.maxsize}"),
+        (f"n {'0' * 30}{sys.maxsize + 1}\n",
+         f"line 1: vertex count exceeds {sys.maxsize}"),
+        ("n " + "9" * 5000 + "\n",
+         f"line 1: vertex count exceeds {sys.maxsize}"),
     ], ids=["self-loop", "reverse-duplicate", "headerless-duplicate",
             "p-above-one", "p-nan", "p-negative", "id-zero",
             "id-above-header", "id-not-integer", "two-tokens",
             "late-header", "header-twice", "id-underscore", "p-underscore",
             "count-underscore", "id-arabic-indic-digit", "p-arabic-indic-digit",
             "count-fullwidth-digit", "id-plus", "second-id-plus",
-            "count-plus", "count-negative"])
+            "count-plus", "count-negative", "count-beyond-maxsize",
+            "count-maxsize-plus-one", "count-leading-zeros",
+            "count-5000-digits"])
     def test_single_fault_message(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse(text)
