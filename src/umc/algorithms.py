@@ -17,6 +17,8 @@ neighbourhood.  Each step reads the added vertex's row once and does one
 dict lookup per candidate; a child left with no extension candidates is
 decided in place, without a frame.  A factor ceiling, a bound on every
 cached factor of a frame, decides cliques at the threshold unscanned.
+A root's subtree depends on that root alone, so umc.parallel can split
+the roots across processes.
 large_mule's shared_neighborhood_filter reads only the edges with
 p >= alpha too, so mule and large_mule take the graph as loaded.  Only
 dfs_noip, which recomputes products over every edge it sees, runs faster
@@ -76,7 +78,7 @@ def mule(g: UncertainGraph, alpha: float, sink: Sink, *,
     max(C) extends it (ext) and no vertex below does either (excl), which
     is exactly maximality.
     """
-    return _enumerate(g, alpha, sink, min_size=None,
+    return _enumerate(g, alpha, sink, range(g.n), min_size=None,
                       check_invariants=check_invariants)
 
 
@@ -90,28 +92,59 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
     size->=t clique is preserved (on the path to such a clique the guard
     never fires).
     """
-    if t < 1:
-        raise ValueError("size threshold must be >= 1")
-    if t == 1:
-        return mule(g, alpha, sink, check_invariants=check_invariants)
-    filtered = shared_neighborhood_filter(g, alpha, t)
-    return _enumerate(filtered, alpha, sink, min_size=t,
+    g, min_size = size_filter(g, alpha, t)
+    return _enumerate(g, alpha, sink, range(g.n), min_size=min_size,
                       check_invariants=check_invariants)
 
 
-def _enumerate(g, alpha, sink, *, min_size, check_invariants):
-    """One depth-first search per root vertex u, in ascending order.
+def size_filter(g: UncertainGraph, alpha: float,
+                t: int) -> tuple[UncertainGraph, int | None]:
+    """The graph and size guard large_mule searches for threshold t:
+    shared_neighborhood_filter(g, alpha, t) and t for t >= 2, else g and
+    no guard."""
+    if t < 1:
+        raise ValueError("size threshold must be >= 1")
+    if t == 1:
+        return g, None
+    return shared_neighborhood_filter(g, alpha, t), t
 
-    u's frame is built from its row: ext holds the neighbours above u and
-    excl those below, each with its edge probability as the cached factor
-    and only where that is >= alpha.  Every vertex below u that could
-    extend a clique containing u is adjacent to u, so excl holds every
-    witness the search below needs.  Its factor ceiling is rowmax[u].
+
+def search_roots(g: UncertainGraph, alpha: float,
+                 min_size: int | None) -> list[int]:
+    """The roots, ascending, whose frame _enumerate pushes: those with an
+    alpha-neighbour above them, and with enough of them to reach min_size.
+    Every other root emits at most its singleton, without a search."""
+    need = 1 if min_size is None else max(min_size - 1, 1)
+    roots = []
+    for u in range(g.n):
+        row = g.row(u)
+        above = 0  # alpha-neighbours above u, counted up to need
+        if len(row) >= need:
+            for w, p in reversed(row.items()):  # the row is ascending
+                if w < u or above == need:
+                    break
+                above += p >= alpha
+        if above == need:
+            roots.append(u)
+    return roots
+
+
+def _enumerate(g, alpha, sink, roots, *, min_size, check_invariants):
+    """One depth-first search per root vertex u, taken from the iterable
+    roots in ascending order.
+
+    u's frame is built from its row alone: ext holds the neighbours above
+    u and excl those below, each with its edge probability as the cached
+    factor and only where that is >= alpha.  Every vertex below u that
+    could extend a clique containing u is adjacent to u, so excl holds
+    every witness the search below needs.  Its factor ceiling is
+    rowmax[u].  So each root's subtree and output depend on the root
+    alone, and any set of roots can be searched in any process.
     """
     check_alpha(alpha)
     rowmax = [max(g.row(u).values(), default=0.0) for u in range(g.n)]
     count = 0
-    for u in range(g.n):
+    for u in roots:
         items = g.row(u).items()
         ext = [(w, p) for w, p in items if w > u and p >= alpha]
         if min_size is not None and 1 + len(ext) < min_size:

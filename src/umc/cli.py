@@ -1,6 +1,7 @@
 """Command-line front end: enumerate, verify, generate, bench.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
+Exit codes: 0 success, 1 verification failure or a failed search worker,
+2 usage/validation error.
 The default seed is 0, overridable via the UMC_SEED environment variable
 or per-command --seed flags.
 
@@ -18,6 +19,7 @@ import sys
 import time
 from typing import TextIO
 
+from . import parallel
 from .algorithms import dfs_noip, large_mule, mule
 from .generators import GenSpec, coauthor_prob_parser
 from .graph import (
@@ -115,7 +117,9 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     made before the clock starts.  The enumerators are looked up as module
     globals at call time, not through a table built at import, so a caller
     that replaces one on this module (to trace it, say) sees its
-    replacement run.
+    replacement run.  That holds on this serial path only: cmd_enumerate's
+    parallel path (umc.parallel) calls size_filter and the search kernel
+    directly, and looks up only format_clique at call time.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)
@@ -153,6 +157,11 @@ def cmd_enumerate(args) -> int:
             emitted.sort(key=lambda c: (tuple(sorted(g.label(v) for v in c.vertices))))
             for c in emitted:
                 out.write(format_clique(g, c) + "\n")
+        elif args.algo == "mule" and (
+                workers := parallel.available_workers(out)) > 1:
+            count, ms = parallel.enumerate_into(
+                out, g, alpha, args.min_size, lambda c: format_clique(g, c),
+                workers)
         else:
             count, ms = _run_enumeration(
                 g, args.algo, alpha, args.min_size,
@@ -381,6 +390,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except parallel.WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -93,7 +93,14 @@ def coauthor_prob_parser(token: str) -> float:
     Raises ValueError, which load_graph reports with the line number."""
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"paper count {token!r} is not an integer")
-    return coauthor_probability(int(token))
+    # int() refuses more than 4300 digits, leading zeros included
+    digits = token.removeprefix("-").lstrip("0") or "0"
+    if token[0] == "-" and digits != "0":
+        raise ValueError(
+            f"paper count must be a positive integer, got -{digits}")
+    if len(digits) > 3:
+        return 1.0  # at least 1000, and exactly 1.0 from 375 up
+    return coauthor_probability(int(digits))
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         try:
             eu, ev = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError("vertex ids must be integers", line_no)
+            raise GraphFormatError(_id_fault(parts[:2]), line_no)
         u, v = intern(eu, line_no), intern(ev, line_no)
         try:
             p = prob_parser(parts[2])
@@ -218,6 +218,18 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         # The constructor stopped on the edge it took last from rest.
         bad = len(us) - 1 - sum(1 for _ in rest)
         raise GraphFormatError(str(exc), edge_lines[bad])
+
+
+def _id_fault(ids: list[str]) -> str:
+    """Why int() refused one of ids: a string of digits fails only when it
+    is longer than the interpreter converts (4300 digits by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for text in ids:
+        digits = text.removeprefix("-")
+        if limit and digits.isdigit() and len(digits) > limit:
+            return (f"vertex id of {len(digits)} digits exceeds the "
+                    f"{limit}-digit limit")
+    return "vertex ids must be integers"
 
 
 def number(text: str, kind=float):

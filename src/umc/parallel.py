@@ -1,0 +1,192 @@
+"""`umc enumerate` with the root subtrees searched in worker processes.
+
+Each root vertex's subtree depends on that root alone (see
+algorithms._enumerate), so the roots can be searched in any process and
+in any order.  The parent loads and size-filters the graph once, then
+forks; the workers share the graph copy-on-write.  Every worker, the
+parent among them, claims roots from a counter in a shared ledger file,
+searches them, formats their cliques and writes them to its own
+temporary file, one segment per claim, recording each segment in the
+ledger.  Once every worker has finished, the parent copies the segments
+into the output in claim order, which is root order, so the output is
+byte for byte that of a serial run.
+
+The counter is guarded by fcntl.lockf, which the kernel releases when its
+holder dies, so a worker that fails can never leave the others waiting.
+"""
+
+from __future__ import annotations
+
+import errno
+import fcntl
+import os
+import signal
+import struct
+import tempfile
+import threading
+import time
+from typing import Callable
+
+from .algorithms import _enumerate, search_roots, size_filter
+from .graph import Clique, UncertainGraph
+
+_COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
+_SEGMENT = struct.Struct("4q")  # per claim: worker, offset, length, cliques
+BUFFER_LINES = 1024  # formatted lines a worker holds before it writes
+COPY_CHUNK = 1 << 20  # bytes per copy call into the output
+
+
+class WorkerError(RuntimeError):
+    """A search worker exited with a nonzero status."""
+
+
+def available_workers(out) -> int:
+    """How many processes may search for out: the CPUs this process may
+    run on, or 1 when the parallel path cannot serve it (out has no
+    descriptor, the platform cannot fork, or another thread is running,
+    which fork would copy in an unknown state)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    try:
+        out.fileno()
+    except (AttributeError, OSError, ValueError):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
+                   fmt: Callable[[Clique], str],
+                   workers: int) -> tuple[int, float]:
+    """Write the lines fmt gives for g's alpha-maximal cliques with at
+    least t vertices to out, in the order large_mule emits them, using at
+    most `workers` processes (this one included).  Returns the clique
+    count and the milliseconds spent from the size filter to the last
+    byte copied, as cli._run_enumeration does for its sink.
+
+    One claim is handed out per root that starts a search; it also covers
+    the roots just before it that start none, and the last claim covers
+    every root after it.  Raises WorkerError, after killing and reaping
+    the other workers, when one exits nonzero; that worker has printed its
+    traceback to file descriptor 2.
+    """
+    start = time.perf_counter()
+    g, min_size = size_filter(g, alpha, t)
+    ends = [u + 1 for u in search_roots(g, alpha, min_size)][:-1] + [g.n]
+    workers = max(1, min(workers, len(ends)))
+    files = []  # the ledger, then one spool per worker
+    pids: list[int] = []
+    try:
+        for _ in range(1 + workers):
+            files.append(tempfile.TemporaryFile())
+        ledger, spools = files[0].fileno(), files[1:]
+        os.ftruncate(ledger, _COUNTER.size + _SEGMENT.size * len(ends))
+
+        def work(w):
+            _work(w, spools[w], ledger, ends, g, alpha, min_size, fmt)
+
+        for w in range(1, workers):
+            pids.append(_fork(work, w))
+        work(0)
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise WorkerError(f"a search worker exited with status {code}")
+        segments = _SEGMENT.iter_unpack(os.pread(
+            ledger, _SEGMENT.size * len(ends), _COUNTER.size))
+        out.flush()
+        count = 0
+        for w, offset, length, cliques in segments:
+            _copy(spools[w].fileno(), out.fileno(), offset, offset + length)
+            count += cliques
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fh in files:
+            fh.close()
+    return count, (time.perf_counter() - start) * 1000.0
+
+
+def _fork(work, w: int) -> int:
+    """Start worker w in a child process; returns its pid.  The child
+    ends only through os._exit, so it never returns into the caller's
+    stack, runs no exit handler and flushes no buffer it inherited."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        work(w)
+        status = 0
+    except BaseException:
+        import traceback  # only a failing worker pays for the import
+
+        os.write(2, traceback.format_exc().encode(errors="replace"))
+        raise  # no further than the os._exit below
+    finally:
+        os._exit(status)
+
+
+def _work(w, spool, ledger, ends, g, alpha, min_size, fmt) -> None:
+    """Worker w: claim, search, format and spool until no claim is left."""
+    lines: list[str] = []
+    written = 0  # lines already in spool
+
+    def flush():
+        nonlocal written
+        if lines:
+            written += len(lines)
+            lines.append("")
+            spool.write("\n".join(lines).encode("ascii"))
+            lines.clear()
+
+    def sink(c):
+        lines.append(fmt(c))
+        if len(lines) >= BUFFER_LINES:
+            flush()
+
+    def roots():
+        while (k := _claim(ledger)) < len(ends):
+            offset, before = spool.tell(), written
+            yield from range(ends[k - 1] if k else 0, ends[k])
+            flush()
+            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset,
+                                            written - before),
+                      _COUNTER.size + _SEGMENT.size * k)
+
+    _enumerate(g, alpha, sink, roots(), min_size=min_size,
+               check_invariants=False)
+    spool.flush()
+
+
+def _claim(ledger: int) -> int:
+    """The next claim number, taken under the ledger's lock."""
+    fcntl.lockf(ledger, fcntl.LOCK_EX)
+    try:
+        (k,) = _COUNTER.unpack(os.pread(ledger, _COUNTER.size, 0))
+        os.pwrite(ledger, _COUNTER.pack(k + 1), 0)
+    finally:
+        fcntl.lockf(ledger, fcntl.LOCK_UN)
+    return k
+
+
+def _copy(src: int, dst: int, offset: int, end: int) -> None:
+    """Copy bytes offset..end of src to dst's current position, at most
+    COPY_CHUNK at a time.  Where sendfile cannot write to dst (a terminal,
+    a file opened for appending), the bytes go through a buffer."""
+    while offset < end:
+        size = min(end - offset, COPY_CHUNK)
+        try:
+            sent = os.sendfile(dst, src, offset, size)
+        except OSError as exc:
+            if exc.errno not in (errno.EINVAL, errno.ENOSYS):
+                raise
+            sent = os.write(dst, os.pread(src, size, offset))
+        if not sent:
+            raise OSError(f"spool ended at byte {offset} of {end}")
+        offset += sent

@@ -132,6 +132,13 @@ class TestEnumerate:
                      "coauthor", "--alpha", "1"]) == 0
         assert capsys.readouterr().out == "1 1 2\n"
 
+    def test_coauthor_count_beyond_int_range(self, tmp_path, capsys):
+        f = tmp_path / "dblp.txt"
+        f.write_text("1 2 " + "9" * 5000 + "\n2 3 " + "0" * 5000 + "7\n")
+        assert main(["enumerate", "--input", str(f), "--prob-model",
+                     "coauthor", "--alpha", "1"]) == 0
+        assert capsys.readouterr().out == "1 1 2\n1 3\n"
+
 
 class TestVerify:
     def test_round_trip(self, path_graph, tmp_path):
@@ -348,6 +355,14 @@ class TestBench:
            "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=2_0,m=2'"),
     ("0", ["enumerate", "--input", "{tmp}/huge.txt", "--alpha", "0.5"],
      f"huge.txt: line 1: vertex count exceeds {sys.maxsize}"),
+    # more digits than int() converts
+    ("0", ["enumerate", "--input", "{tmp}/long-id.txt", "--alpha", "0.5"],
+     "long-id.txt: line 1: vertex id of 5000 digits exceeds the "
+     f"{sys.get_int_max_str_digits()}-digit limit"),
+    ("0", ["enumerate", "--input", "{tmp}/co-negative.txt", "--prob-model",
+           "coauthor", "--alpha", "0.5"],
+     "co-negative.txt: line 1: paper count must be a positive integer, "
+     "got -999"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "generate-umc-seed",
@@ -357,7 +372,8 @@ class TestBench:
         "verify-non-ascii-digit", "option-underscore", "option-plus-underscore",
         "option-plus", "option-non-ascii-digit", "umc-seed-underscore",
         "bench-alphas-underscore", "bench-min-sizes-plus",
-        "bench-gen-underscore", "enumerate-count-beyond-maxsize"])
+        "bench-gen-underscore", "enumerate-count-beyond-maxsize",
+        "enumerate-id-5000-digits", "enumerate-coauthor-negative-5000-digits"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
                                 umc_seed, argv, message):
     monkeypatch.setenv("UMC_SEED", umc_seed)
@@ -369,6 +385,8 @@ def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
     (tmp_path / "plus.txt").write_text("+3 2 0.1\n")
     (tmp_path / "co-plus.txt").write_text("1 2 +3\n")
     (tmp_path / "huge.txt").write_text("n 1" + "0" * 400 + "\n1 2 0.5\n")
+    (tmp_path / "long-id.txt").write_text("9" * 5000 + " 2 0.5\n")
+    (tmp_path / "co-negative.txt").write_text("1 2 -" + "9" * 5000 + "\n")
     # each line would read as a maximal clique of the path graph
     (tmp_path / "c-under.txt").write_text("0.9_0 1 2\n")
     (tmp_path / "c-plus.txt").write_text("0.9 1 2\n0.8 +2 3\n")

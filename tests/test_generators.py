@@ -100,6 +100,12 @@ class TestCoauthorProbability:
         assert coauthor_probability(10**400) == 1.0
         assert coauthor_prob_parser("1" + "0" * 400) == 1.0
 
+    def test_count_beyond_int_range_is_one(self):
+        # int() refuses these; every count from 375 up gives 1.0
+        assert coauthor_prob_parser("9" * 5000) == 1.0
+        assert coauthor_prob_parser("0" * 5000 + "375") == 1.0
+        assert coauthor_prob_parser("0" * 5000 + "1") == coauthor_probability(1)
+
     @pytest.mark.parametrize("c", [0, -3])
     def test_rejects_non_positive(self, c):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ def parse(text):
 
 
 PATH_3 = "1 2 0.9\n2 3 0.8\n"
+INT_DIGITS = sys.get_int_max_str_digits()
 
 
 class TestLoadGraph:
@@ -107,6 +108,12 @@ class TestLoadGraph:
          f"line 1: vertex count exceeds {sys.maxsize}"),
         ("n " + "9" * 5000 + "\n",
          f"line 1: vertex count exceeds {sys.maxsize}"),
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        ("1 " + "9" * 5000 + " 0.5\n",
+         f"line 1: vertex id of 5000 digits exceeds the {INT_DIGITS}-digit limit"),
+        ("1 2 0.5\n" + "0" * INT_DIGITS + "3 2 0.5\n",
+         f"line 2: vertex id of {INT_DIGITS + 1} digits exceeds the "
+         f"{INT_DIGITS}-digit limit"),
     ], ids=["self-loop", "reverse-duplicate", "headerless-duplicate",
             "p-above-one", "p-nan", "p-negative", "id-zero",
             "id-above-header", "id-not-integer", "two-tokens",
@@ -115,7 +122,7 @@ class TestLoadGraph:
             "count-fullwidth-digit", "id-plus", "second-id-plus",
             "count-plus", "count-negative", "count-beyond-maxsize",
             "count-maxsize-plus-one", "count-leading-zeros",
-            "count-5000-digits"])
+            "count-5000-digits", "id-5000-digits", "id-leading-zeros"])
     def test_single_fault_message(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse(text)

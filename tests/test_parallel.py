@@ -1,0 +1,272 @@
+"""The parallel path of `umc enumerate` (umc.parallel) against the serial
+one: the bytes must be equal, a failing worker must end the run, and the
+cases the parallel path cannot serve must take the serial path.
+
+No test starts more processes than os.sched_getaffinity(0) allows, and
+every wait has a timeout."""
+
+import io
+import os
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from umc import cli, parallel
+from umc.algorithms import _enumerate, search_roots, size_filter
+from umc.generators import GenSpec
+from umc.graph import UncertainGraph, dump_graph
+from umc.oracle import build_extremal_graph
+
+pytestmark = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the parallel path needs os.fork and os.sched_getaffinity")
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+WORKERS = min(2, CPUS)
+TIMEOUT_S = 60
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def serial_bytes(g, alpha, t):
+    buf = io.StringIO()
+    count, _ = cli._run_enumeration(
+        g, "mule", alpha, t,
+        lambda c: buf.write(cli.format_clique(g, c) + "\n"))
+    return count, buf.getvalue().encode()
+
+
+def parallel_bytes(g, alpha, t, workers=WORKERS):
+    with tempfile.TemporaryFile("w") as out:
+        count, _ = parallel.enumerate_into(
+            out, g, alpha, t, lambda c: cli.format_clique(g, c), workers)
+        fd = out.fileno()
+        return count, os.pread(fd, os.fstat(fd).st_size, 0)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """Up to 12 vertices, some of them isolated, under shuffled labels (so
+    label_text takes its per-clique sort path too)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.integers(0, 2)) == 0:
+                p = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9, 1.0]))
+                edges.append((u, v, p))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return UncertainGraph(n, edges, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(min_value=1, max_value=4))
+def test_parallel_bytes_equal_serial_bytes(g, alpha, t):
+    assert parallel_bytes(g, alpha, t) == serial_bytes(g, alpha, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(min_value=1, max_value=4))
+def test_search_roots(g, alpha, t):
+    """A search root has enough alpha-neighbours above it to reach size t;
+    any other root emits at most its singleton, so a claim can cover it."""
+    g, min_size = size_filter(g, alpha, t)
+    roots = search_roots(g, alpha, min_size)
+    for u in range(g.n):
+        above = [w for w, p in g.row(u).items() if w > u and p >= alpha]
+        assert (u in roots) == (len(above) >= max(t - 1, 1))
+        if u not in roots:
+            emitted = []
+            _enumerate(g, alpha, emitted.append, [u], min_size=min_size,
+                       check_invariants=False)
+            assert [c.vertices for c in emitted] in ([], [(u,)])
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_extremal_graph(n):
+    g = build_extremal_graph(n, 0.5)
+    count, data = parallel_bytes(g, 0.5, 1)
+    assert (count, data) == serial_bytes(g, 0.5, 1)
+    assert data.count(b"\n") == count > 0
+
+
+@pytest.fixture(scope="module")
+def ba2000():
+    return GenSpec("ba", 2000, m=10, seed=1).build()
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.5, 0.9])
+def test_ba_graph(ba2000, alpha):
+    assert parallel_bytes(ba2000, alpha, 1) == serial_bytes(ba2000, alpha, 1)
+
+
+def test_ba_graph_size_threshold(ba2000):
+    for t in (3, 4):
+        assert (parallel_bytes(ba2000, 0.1, t)
+                == serial_bytes(ba2000, 0.1, t))
+
+
+@pytest.fixture
+def k12(tmp_path):
+    path = tmp_path / "k12.txt"
+    with open(path, "w") as fh:
+        dump_graph(build_extremal_graph(12, 0.5), fh)
+    return path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork made while the test runs, by the process it runs in."""
+    made = []
+    real = os.fork
+
+    def counting_fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
+@pytest.mark.parametrize("text", [
+    "n 12\n" + "".join(f"{u} {v} 1\n" for u in range(1, 13)
+                       for v in range(u + 1, 13)),
+    "n 6\n2 5 0.9\n",  # one root starts a search: no fork
+])
+def test_forks_at_most_cpus_and_search_roots(tmp_path, forks, text):
+    inp = tmp_path / "g.txt"
+    inp.write_text(text)
+    out = tmp_path / "c.txt"
+    assert cli.main(["enumerate", "--input", str(inp), "--alpha", "0.5",
+                     "--out", str(out)]) == 0
+    g = cli._load_file(str(inp), "prob")
+    roots = search_roots(g, 0.5, None)
+    assert len(forks) == max(min(CPUS, len(roots)), 1) - 1
+    assert out.read_bytes() == serial_bytes(g, 0.5, 1)[1]
+
+
+def test_capsys_stdout_takes_serial_path(k12, forks, capsys):
+    assert cli.main(["enumerate", "--input", str(k12), "--alpha", "0.5"]) == 0
+    assert forks == []
+    g = cli._load_file(str(k12), "prob")
+    assert capsys.readouterr().out.encode() == serial_bytes(g, 0.5, 1)[1]
+
+
+@pytest.mark.parametrize("flags", [["--canonical"], ["--algo", "dfs-noip"]])
+def test_serial_only_options(k12, forks, tmp_path, flags):
+    out = tmp_path / "c.txt"
+    assert cli.main(["enumerate", "--input", str(k12), "--alpha", "0.5",
+                     "--out", str(out), *flags]) == 0
+    assert forks == []
+    assert out.read_bytes().count(b"\n") == 924  # C(12, 6)
+
+
+def test_live_thread_takes_serial_path(k12, forks, tmp_path):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(TIMEOUT_S,))
+    thread.start()
+    try:
+        out = tmp_path / "c.txt"
+        assert cli.main(["enumerate", "--input", str(k12), "--alpha", "0.5",
+                         "--out", str(out)]) == 0
+    finally:
+        release.set()
+        thread.join(TIMEOUT_S)
+    assert not thread.is_alive()
+    assert forks == []
+    g = cli._load_file(str(k12), "prob")
+    assert out.read_bytes() == serial_bytes(g, 0.5, 1)[1]
+
+
+def run_cli_script(script, *args, stdout=subprocess.PIPE):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=TIMEOUT_S)
+
+
+# Runs `umc enumerate` with a format_clique that raises in one process
+# (argv[3]: the parent or its worker) and stalls argv[4] seconds on the
+# first clique in the other, then prints the exit code and whether any
+# child process is left.
+FAILING_RUN = """
+import os, sys, time
+import umc.cli as cli
+
+parent = os.getpid()
+real = cli.format_clique
+stalled = []
+
+def fmt(g, c):
+    if (os.getpid() == parent) == (sys.argv[3] == "parent"):
+        raise RuntimeError("format failed")
+    if not stalled:
+        stalled.append(True)
+        time.sleep(float(sys.argv[4]))
+    return real(g, c)
+
+cli.format_clique = fmt
+try:
+    rc = cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",
+                   "--out", sys.argv[2]])
+except RuntimeError:
+    rc = "raised"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "children left"
+except ChildProcessError:
+    left = "no children"
+print(rc, left)
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs two CPUs for a worker process")
+def test_failing_worker_fails_the_run(k12, tmp_path):
+    # The parent stalls 1 s on its first clique, so the worker claims
+    # roots with cliques while it waits.
+    proc = run_cli_script(FAILING_RUN, k12, tmp_path / "c.txt", "worker", 1)
+    assert proc.stdout.split() == ["1", "no", "children"]
+    assert "RuntimeError: format failed" in proc.stderr
+    assert "error: a search worker exited with status 1" in proc.stderr
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs two CPUs for a worker process")
+def test_failing_parent_kills_the_worker(k12, tmp_path):
+    # The worker would stall far past the timeout; the parent must kill it.
+    proc = run_cli_script(FAILING_RUN, k12, tmp_path / "c.txt", "parent",
+                          2 * TIMEOUT_S)
+    assert proc.stdout.split() == ["raised", "no", "children"]
+
+
+# stdout as the shell hands it over: a file, a file opened for appending
+# (where sendfile refuses to write) and a pipe.
+STDOUT_RUN = """
+import sys
+import umc.cli as cli
+sys.exit(cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5"]))
+"""
+
+
+def test_stdout_file_append_and_pipe(k12, tmp_path):
+    expected = serial_bytes(cli._load_file(str(k12), "prob"), 0.5, 1)[1]
+    piped = run_cli_script(STDOUT_RUN, k12)
+    assert piped.returncode == 0
+    assert piped.stdout.encode() == expected
+    for mode in ("wb", "ab"):
+        path = tmp_path / f"stdout-{mode}.txt"
+        path.write_bytes(b"head\n")
+        with open(path, mode) as fh:
+            proc = run_cli_script(STDOUT_RUN, k12, stdout=fh)
+        assert proc.returncode == 0
+        head = b"head\n" if mode == "ab" else b""
+        assert path.read_bytes() == head + expected
