@@ -6,7 +6,7 @@ mule        incremental depth-first enumeration: each candidate carries a
             alone (no graph rescans).
 large_mule  size-thresholded variant: shared-neighborhood pre-filtering
             plus a branch guard that skips subtrees too small to reach the
-            threshold.
+            threshold t >= 1; mule is the same search at t = 1.
 dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks; kept for benchmarking.
 
@@ -78,7 +78,7 @@ def mule(g: UncertainGraph, alpha: float, sink: Sink, *,
     max(C) extends it (ext) and no vertex below does either (excl), which
     is exactly maximality.
     """
-    return _enumerate(g, alpha, sink, range(g.n), min_size=None,
+    return _enumerate(g, alpha, sink, range(g.n), 1,
                       check_invariants=check_invariants)
 
 
@@ -86,35 +86,28 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
                check_invariants: bool = False) -> int:
     """Emit exactly the alpha-maximal cliques with at least t vertices.
 
-    For t >= 2, first narrows g to shared_neighborhood_filter(g, alpha, t),
-    then prunes any branch where |C'| + |ext'| < t: that subtree cannot
-    reach size t, and every surviving witness needed for maximality of a
-    size->=t clique is preserved (on the path to such a clique the guard
-    never fires).
+    Searches size_filter(g, alpha, t) and prunes any branch where
+    |C'| + |ext'| < t: that subtree cannot reach size t, and every
+    surviving witness needed for maximality of a size->=t clique is
+    preserved (on the path to such a clique the guard never fires).
     """
-    g, min_size = size_filter(g, alpha, t)
-    return _enumerate(g, alpha, sink, range(g.n), min_size=min_size,
+    return _enumerate(size_filter(g, alpha, t), alpha, sink, range(g.n), t,
                       check_invariants=check_invariants)
 
 
-def size_filter(g: UncertainGraph, alpha: float,
-                t: int) -> tuple[UncertainGraph, int | None]:
-    """The graph and size guard large_mule searches for threshold t:
-    shared_neighborhood_filter(g, alpha, t) and t for t >= 2, else g and
-    no guard."""
+def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
+    """The graph large_mule searches for threshold t:
+    shared_neighborhood_filter(g, alpha, t) for t >= 2, g itself at t = 1."""
     if t < 1:
         raise ValueError("size threshold must be >= 1")
-    if t == 1:
-        return g, None
-    return shared_neighborhood_filter(g, alpha, t), t
+    return g if t == 1 else shared_neighborhood_filter(g, alpha, t)
 
 
-def search_roots(g: UncertainGraph, alpha: float,
-                 min_size: int | None) -> list[int]:
-    """The roots, ascending, whose frame _enumerate pushes: those with an
-    alpha-neighbour above them, and with enough of them to reach min_size.
-    Every other root emits at most its singleton, without a search."""
-    need = 1 if min_size is None else max(min_size - 1, 1)
+def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
+    """The roots, ascending, whose frame _enumerate pushes for threshold t:
+    those with enough alpha-neighbours above them to reach size t, and at
+    least one.  Every other root emits at most its singleton, unsearched."""
+    need = max(t - 1, 1)
     roots = []
     for u in range(g.n):
         row = g.row(u)
@@ -129,9 +122,10 @@ def search_roots(g: UncertainGraph, alpha: float,
     return roots
 
 
-def _enumerate(g, alpha, sink, roots, *, min_size, check_invariants):
+def _enumerate(g, alpha, sink, roots, t, *, check_invariants):
     """One depth-first search per root vertex u, taken from the iterable
-    roots in ascending order.
+    roots in ascending order, emitting the alpha-maximal cliques with at
+    least t vertices.
 
     u's frame is built from its row alone: ext holds the neighbours above
     u and excl those below, each with its edge probability as the cached
@@ -147,14 +141,14 @@ def _enumerate(g, alpha, sink, roots, *, min_size, check_invariants):
     for u in roots:
         items = g.row(u).items()
         ext = [(w, p) for w, p in items if w > u and p >= alpha]
-        if min_size is not None and 1 + len(ext) < min_size:
+        if 1 + len(ext) < t:
             continue  # no clique containing u as its minimum is large enough
         excl = [(v, p) for v, p in items if v < u and p >= alpha]
         if check_invariants:
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
             count += _search(g, _Frame((u,), 1.0, ext, excl, rowmax[u]),
-                             rowmax, alpha, sink, min_size=min_size,
+                             rowmax, alpha, sink, t,
                              check_invariants=check_invariants)
         elif not excl:
             sink(Clique((u,), 1.0))
@@ -162,19 +156,18 @@ def _enumerate(g, alpha, sink, roots, *, min_size, check_invariants):
     return count
 
 
-def _search(g, root, rowmax, alpha, sink, *, min_size, check_invariants):
-    """Emit the alpha-maximal cliques in root's subtree; returns the count.
+def _search(g, root, rowmax, alpha, sink, t, *, check_invariants):
+    """Emit the alpha-maximal cliques with at least t vertices in root's
+    subtree; returns the count.
 
     A child whose ext comes out empty is a leaf, decided without a frame:
     it is maximal exactly when no exclusion witness survives its addition.
-    A factor ceiling decides it without a scan: every test that could
-    extend c2 = C+{u} multiplies q2 by some r*p <= fr.cap, and rounding is
-    monotone, so q2*fr.cap < alpha leaves c2 nothing to extend it with.
-    c2's own factors are at most cap2 = fr.cap*rowmax[u]; when
-    (q2*cap2)*cap2 < alpha each of its children is such a leaf, emitted
-    straight from ext2.  A ceiling only skips tests that would fail, so
-    the output is unchanged; under check_invariants the tests run anyway
-    and must agree.
+    The factor ceiling cap2 = fr.cap*rowmax[u] of c2 = C+{u} bounds every
+    factor c2's candidates will hold, and rounding is monotone, so when
+    (q2*cap2)*cap2 < alpha no child of c2 can be extended: each is a leaf
+    with no witness, emitted straight from ext2.  The ceiling only skips
+    tests that would fail, so the output is unchanged; under
+    check_invariants the tests run anyway and must agree.
     """
     count = 0
     # Explicit frame stack: depth reaches the largest clique size, up to n,
@@ -189,29 +182,26 @@ def _search(g, root, rowmax, alpha, sink, *, min_size, check_invariants):
         fr.i += 1
         q2 = fr.q * r
         c2 = fr.clique + (u,)
-        capped = q2 * fr.cap < alpha
-        ext2 = ([] if capped and not check_invariants
-                else _filter_extension(g, u, q2, fr.ext, fr.i, alpha))
-        if min_size is not None and len(c2) + len(ext2) < min_size:
+        # fr.ext is sorted by vertex, so the entries after u are those above it
+        ext2 = _filter(g, u, q2, fr.ext[fr.i:], alpha)
+        if len(c2) + len(ext2) < t:
             continue  # subtree cannot reach the size threshold
         cap2 = fr.cap * rowmax[u]
         if ext2 and not check_invariants and q2 * cap2 * cap2 < alpha:
-            if min_size is None or len(c2) + 1 >= min_size:
+            if len(c2) + 1 >= t:
                 for w, r2 in ext2:
                     sink(Clique(c2 + (w,), q2 * r2))
                 count += len(ext2)
         elif ext2 or check_invariants:
-            excl2 = _filter_exclusion(g, u, q2, fr.excl, alpha)
+            excl2 = _filter(g, u, q2, fr.excl, alpha)
             if check_invariants:
                 _check_frame(g, c2, q2, ext2, excl2, alpha)
-                if capped and (ext2 or excl2):
-                    raise InvariantViolation(f"{c2} grows past its ceiling")
             if ext2:
                 stack.append(_Frame(c2, q2, ext2, excl2, cap2))
             elif not excl2:
                 sink(Clique(c2, q2))
                 count += 1
-        elif capped or not _has_witness(g, u, q2, fr.excl, alpha):
+        elif not _has_witness(g, u, q2, fr.excl, alpha):
             sink(Clique(c2, q2))
             count += 1
         # u's subtree is settled before any later sibling is expanded, so
@@ -220,35 +210,21 @@ def _search(g, root, rowmax, alpha, sink, *, min_size, check_invariants):
     return count
 
 
-def _filter_extension(g, m, q_new, ext, start, alpha):
-    """Candidates surviving the addition of m (= new max of the clique).
-
-    ext is sorted by vertex, so entries from `start` on are exactly those
-    above m; each must also be adjacent to m and keep the product >= alpha.
-    Runs in O(|ext|) with one row lookup per entry.
-    """
+def _filter(g, m, q_new, entries, alpha):
+    """The candidates (v, f) of entries still able to extend the clique
+    once m joins it: v adjacent to m, with the updated factor f*p keeping
+    the product >= alpha.  One row lookup per entry."""
     row = g.row(m)
     out = []
-    for u, r in ext[start:]:
-        p = row.get(u)
-        if p is not None and q_new * (r2 := r * p) >= alpha:
-            out.append((u, r2))
-    return out
-
-
-def _filter_exclusion(g, m, q_new, excl, alpha):
-    """Witnesses still able to extend the clique after m joins it."""
-    row = g.row(m)
-    out = []
-    for v, s in excl:
+    for v, f in entries:
         p = row.get(v)
-        if p is not None and q_new * (s2 := s * p) >= alpha:
-            out.append((v, s2))
+        if p is not None and q_new * (f2 := f * p) >= alpha:
+            out.append((v, f2))
     return out
 
 
 def _has_witness(g, m, q_new, excl, alpha):
-    """Whether _filter_exclusion(g, m, q_new, excl, alpha) is nonempty."""
+    """Whether _filter(g, m, q_new, excl, alpha) is nonempty, found early."""
     row = g.row(m)
     for v, s in excl:
         p = row.get(v)

@@ -1,7 +1,7 @@
 """Command-line front end: enumerate, verify, generate, bench.
 
-Exit codes: 0 success, 1 verification failure or a failed search worker,
-2 usage/validation error.
+Exit codes: 0 success, 1 verification failure, a failed search worker or a
+closed output pipe, 2 usage/validation error or an output write error.
 The default seed is 0, overridable via the UMC_SEED environment variable
 or per-command --seed flags.
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -149,27 +150,41 @@ def cmd_enumerate(args) -> int:
         raise UsageError("--min-size must be >= 1")
     g = _load_file(args.input, args.prob_model)
     out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
+    workers = (parallel.available_workers(out)
+               if args.algo == "mule" and not args.canonical else 1)
     try:
-        if args.canonical:
-            emitted: list[Clique] = []
-            count, ms = _run_enumeration(g, args.algo, alpha, args.min_size,
-                                         emitted.append)
-            emitted.sort(key=lambda c: (tuple(sorted(g.label(v) for v in c.vertices))))
-            for c in emitted:
-                out.write(format_clique(g, c) + "\n")
-        elif args.algo == "mule" and (
-                workers := parallel.available_workers(out)) > 1:
-            count, ms = parallel.enumerate_into(
-                out, g, alpha, args.min_size, lambda c: format_clique(g, c),
-                workers)
-        else:
-            count, ms = _run_enumeration(
-                g, args.algo, alpha, args.min_size,
-                lambda c: out.write(format_clique(g, c) + "\n"))
-        print(f"cliques={count} time_ms={ms:.3f}", file=sys.stderr)
-    finally:
-        if args.out:
-            out.close()
+        try:
+            if args.canonical:
+                emitted: list[Clique] = []
+                count, ms = _run_enumeration(g, args.algo, alpha,
+                                             args.min_size, emitted.append)
+                emitted.sort(key=lambda c: (tuple(sorted(g.label(v) for v in c.vertices))))
+                for c in emitted:
+                    out.write(format_clique(g, c) + "\n")
+            elif workers > 1:
+                count, ms = parallel.enumerate_into(
+                    out, g, alpha, args.min_size,
+                    lambda c: format_clique(g, c), workers)
+            else:
+                count, ms = _run_enumeration(
+                    g, args.algo, alpha, args.min_size,
+                    lambda c: out.write(format_clique(g, c) + "\n"))
+            if not args.out:
+                out.flush()
+        finally:
+            if args.out:
+                out.close()  # its last flush can fail like any write
+    # On the parallel path any other OSError is the spool files', not out's.
+    except (parallel.OutputError if workers > 1 else OSError) as exc:
+        if not args.out:
+            # What stdout still buffers goes to devnull, not to a failed flush.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        if exc.errno == errno.EPIPE:
+            return 1  # the reader closed early: end quietly, as on SIGPIPE
+        raise UsageError(f"cannot write {args.out or 'stdout'}: {exc}")
+    print(f"cliques={count} time_ms={ms:.3f}", file=sys.stderr)
     return 0
 
 

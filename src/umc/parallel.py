@@ -40,6 +40,10 @@ class WorkerError(RuntimeError):
     """A search worker exited with a nonzero status."""
 
 
+class OutputError(OSError):
+    """Writing the output failed; errno and text are the failed call's."""
+
+
 def available_workers(out) -> int:
     """How many processes may search for out: the CPUs this process may
     run on, or 1 when the parallel path cannot serve it (out has no
@@ -69,11 +73,12 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     the roots just before it that start none, and the last claim covers
     every root after it.  Raises WorkerError, after killing and reaping
     the other workers, when one exits nonzero; that worker has printed its
-    traceback to file descriptor 2.
+    traceback to file descriptor 2.  Raises OutputError when writing to
+    out fails, any other OSError for a failure on the spool side.
     """
     start = time.perf_counter()
-    g, min_size = size_filter(g, alpha, t)
-    ends = [u + 1 for u in search_roots(g, alpha, min_size)][:-1] + [g.n]
+    g = size_filter(g, alpha, t)
+    ends = [u + 1 for u in search_roots(g, alpha, t)][:-1] + [g.n]
     workers = max(1, min(workers, len(ends)))
     files = []  # the ledger, then one spool per worker
     pids: list[int] = []
@@ -84,7 +89,7 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
         os.ftruncate(ledger, _COUNTER.size + _SEGMENT.size * len(ends))
 
         def work(w):
-            _work(w, spools[w], ledger, ends, g, alpha, min_size, fmt)
+            _work(w, spools[w], ledger, ends, g, alpha, t, fmt)
 
         for w in range(1, workers):
             pids.append(_fork(work, w))
@@ -97,11 +102,14 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                 raise WorkerError(f"a search worker exited with status {code}")
         segments = _SEGMENT.iter_unpack(os.pread(
             ledger, _SEGMENT.size * len(ends), _COUNTER.size))
-        out.flush()
         count = 0
-        for w, offset, length, cliques in segments:
-            _copy(spools[w].fileno(), out.fileno(), offset, offset + length)
-            count += cliques
+        try:
+            out.flush()
+            for w, offset, length, cliques in segments:
+                _copy(spools[w].fileno(), out.fileno(), offset, offset + length)
+                count += cliques
+        except OSError as exc:
+            raise OutputError(exc.errno, exc.strerror) from None
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -132,7 +140,7 @@ def _fork(work, w: int) -> int:
         os._exit(status)
 
 
-def _work(w, spool, ledger, ends, g, alpha, min_size, fmt) -> None:
+def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
     """Worker w: claim, search, format and spool until no claim is left."""
     lines: list[str] = []
     written = 0  # lines already in spool
@@ -159,8 +167,7 @@ def _work(w, spool, ledger, ends, g, alpha, min_size, fmt) -> None:
                                             written - before),
                       _COUNTER.size + _SEGMENT.size * k)
 
-    _enumerate(g, alpha, sink, roots(), min_size=min_size,
-               check_invariants=False)
+    _enumerate(g, alpha, sink, roots(), t, check_invariants=False)
     spool.flush()
 
 
@@ -188,5 +195,5 @@ def _copy(src: int, dst: int, offset: int, end: int) -> None:
                 raise
             sent = os.write(dst, os.pread(src, size, offset))
         if not sent:
-            raise OSError(f"spool ended at byte {offset} of {end}")
+            raise EOFError(f"spool ended at byte {offset} of {end}")
         offset += sent

@@ -3,14 +3,16 @@ PASS line on success (run with -s to see them).
 
 Criteria:
   1 oracle equivalence on 252 seeded Erdos-Renyi instances
-  2 extremal complete graphs yield exactly C(n, n/2) cliques of size n/2
+  2 extremal complete graphs yield exactly C(n, n/2) cliques of size n/2,
+    reading a bounded number of candidate entries per output vertex
   3 output count never exceeds C(n, floor(n/2))
   4 size-thresholded enumeration == size filter over full enumeration
   5 baseline (dfs_noip) emits the same clique sets
   6 cached factors match direct products within 1e-9 at every frame
   7 Monte-Carlo estimates within 4 standard errors of exact products
-  8 desk-scale performance trends (ordering/monotonicity only), and
-    search cost per clique flat in n at high alpha
+  8 desk-scale performance trends (ordering/monotonicity only), search
+    work strictly falling as alpha grows, and search cost per clique flat
+    in n at high alpha
   9 CLI generate -> enumerate -> verify --complete round trip
 """
 
@@ -20,6 +22,7 @@ import time
 
 import pytest
 
+from umc import algorithms
 from umc.algorithms import dfs_noip, large_mule, mule
 from umc.cli import main
 from umc.generators import assign_uniform_probabilities, gen_barabasi_albert, gen_erdos_renyi
@@ -82,6 +85,38 @@ def test_criterion_2_extremal_counts():
             assert emitted == count, (n, alpha, emitted)
             assert all(len(c.vertices) == n // 2 for c in out), (n, alpha)
     _passed("2 extremal counts C(n, n/2)")
+
+
+@pytest.fixture
+def search_work(monkeypatch):
+    """A one-item list that counts the entries the search hands to _filter
+    plus its _has_witness calls (each reads at least one entry).  The
+    kernel looks both up as module globals."""
+    work = [0]
+    real_filter, real_witness = algorithms._filter, algorithms._has_witness
+
+    def counted_filter(g, m, q_new, entries, alpha):
+        work[0] += len(entries)
+        return real_filter(g, m, q_new, entries, alpha)
+
+    def counted_witness(*args):
+        work[0] += 1
+        return real_witness(*args)
+
+    monkeypatch.setattr(algorithms, "_filter", counted_filter)
+    monkeypatch.setattr(algorithms, "_has_witness", counted_witness)
+    return work
+
+
+@pytest.mark.parametrize("n", range(8, 20, 2))
+def test_criterion_2_search_work_per_output_vertex(n, search_work):
+    # The paper's near-optimal worst case, by counting: on the extremal
+    # graph the search reads a bounded number of candidate entries per
+    # vertex it outputs (0.80 at n=8 up to 1.32 at n=18, 1.38 on K20).
+    count = mule(build_extremal_graph(n, 0.5), 0.5, lambda c: None)
+    assert count == math.comb(n, n // 2)
+    assert search_work[0] / (count * (n // 2)) <= 1.5, search_work[0]
+    _passed(f"2 search work per output vertex bounded (n={n})")
 
 
 def test_criterion_3_upper_bound(corpus):
@@ -214,6 +249,18 @@ def test_criterion_8_performance_trends(ba_graphs):
     assert max(ratios) / min(ratios) < 10.0, ratios
     _passed("8 performance trends (a: baseline ordering, b: alpha "
             "monotonicity, c: output sensitivity)")
+
+
+def test_criterion_8_search_work_falls_with_alpha(ba_graphs, search_work):
+    # Beside 8(b)'s timing band: on the same graph and alphas, the search
+    # work itself, a deterministic count, strictly falls as alpha grows.
+    work = []
+    for alpha in (0.001, 0.01, 0.1, 0.5, 0.9):
+        search_work[0] = 0
+        mule(ba_graphs[2000], alpha, lambda c: None)
+        work.append(search_work[0])
+    assert all(a > b for a, b in zip(work, work[1:])), work
+    _passed(f"8 search work strictly falls with alpha {work}")
 
 
 def test_criterion_8_search_cost_tracks_output(ba_graphs):

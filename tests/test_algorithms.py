@@ -13,8 +13,7 @@ from umc.algorithms import (
     large_mule,
     mule,
     shared_neighborhood_filter,
-    _filter_extension,
-    _filter_exclusion,
+    _filter,
 )
 from umc.graph import UncertainGraph, load_graph, prune_by_alpha
 from umc.oracle import build_extremal_graph, brute_force_enumerate
@@ -108,16 +107,16 @@ class TestCandidateMaintenance:
     def test_extension_keeps_adjacent_above_threshold(self):
         g = parse(PATH_3)
         ext = [(0, 1.0), (1, 1.0), (2, 1.0)]
-        got = _filter_extension(g, 0, 1.0, ext, 1, 0.75)
+        got = _filter(g, 0, 1.0, ext[1:], 0.75)
         assert got == [(1, pytest.approx(0.9))]
 
     def test_extension_empty_input(self):
         g = parse(PATH_3)
-        assert _filter_extension(g, 0, 1.0, [], 0, 0.5) == []
+        assert _filter(g, 0, 1.0, [], 0.5) == []
 
     def test_extension_boundary_product_exactly_alpha_kept(self):
         g = parse("1 2 0.5\n")
-        got = _filter_extension(g, 0, 1.0, [(0, 1.0), (1, 1.0)], 1, 0.5)
+        got = _filter(g, 0, 1.0, [(0, 1.0), (1, 1.0)][1:], 0.5)
         assert got == [(1, 0.5)]
 
     def test_exclusion_drops_non_neighbors(self):
@@ -125,17 +124,17 @@ class TestCandidateMaintenance:
         # of {2}; extending to {2,3} drops it (no 1-3 edge), so {2,3} is
         # emitted as maximal
         g = parse(PATH_3)
-        assert _filter_exclusion(g, 2, 0.8, [(0, 0.9)], 0.75) == []
+        assert _filter(g, 2, 0.8, [(0, 0.9)], 0.75) == []
         got = collect(mule, g, 0.75)
         assert (1, 2) in got
 
     def test_exclusion_empty_input(self):
         g = parse(PATH_3)
-        assert _filter_exclusion(g, 1, 0.9, [], 0.75) == []
+        assert _filter(g, 1, 0.9, [], 0.75) == []
 
     def test_exclusion_keeps_surviving_witness(self):
         g = parse("1 2 0.9\n1 3 0.9\n2 3 0.9\n")
-        got = _filter_exclusion(g, 2, 0.9, [(0, 0.9)], 0.5)
+        got = _filter(g, 2, 0.9, [(0, 0.9)], 0.5)
         assert got == [(0, pytest.approx(0.81))]
 
 
@@ -215,8 +214,8 @@ class TestFactorCeiling:
         assert pushed and all(len(c) < n // 2 - 1 for c, _ in pushed)
 
     @pytest.mark.parametrize("text, expected", [
-        # {1,2} sits at alpha with the ceiling 1.0: q2 * cap == alpha, and
-        # vertex 3 extends it, so only a strict test is sound.
+        # {1,2} sits at alpha and vertex 3 (both edges 1.0) extends it, so
+        # its extension test must keep a product exactly at alpha.
         ("1 2 0.5\n1 3 1.0\n2 3 1.0\n", {(0, 1, 2)}),
         # the same one level up: for {1,2}, (q2 * cap2) * cap2 == alpha, and
         # its children {1,2,3}, {1,2,4} grow into {1,2,3,4}

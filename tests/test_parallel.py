@@ -77,14 +77,14 @@ def test_parallel_bytes_equal_serial_bytes(g, alpha, t):
 def test_search_roots(g, alpha, t):
     """A search root has enough alpha-neighbours above it to reach size t;
     any other root emits at most its singleton, so a claim can cover it."""
-    g, min_size = size_filter(g, alpha, t)
-    roots = search_roots(g, alpha, min_size)
+    g = size_filter(g, alpha, t)
+    roots = search_roots(g, alpha, t)
     for u in range(g.n):
         above = [w for w, p in g.row(u).items() if w > u and p >= alpha]
         assert (u in roots) == (len(above) >= max(t - 1, 1))
         if u not in roots:
             emitted = []
-            _enumerate(g, alpha, emitted.append, [u], min_size=min_size,
+            _enumerate(g, alpha, emitted.append, [u], t,
                        check_invariants=False)
             assert [c.vertices for c in emitted] in ([], [(u,)])
 
@@ -149,7 +149,7 @@ def test_forks_at_most_cpus_and_search_roots(tmp_path, forks, text):
     assert cli.main(["enumerate", "--input", str(inp), "--alpha", "0.5",
                      "--out", str(out)]) == 0
     g = cli._load_file(str(inp), "prob")
-    roots = search_roots(g, 0.5, None)
+    roots = search_roots(g, 0.5, 1)
     assert len(forks) == max(min(CPUS, len(roots)), 1) - 1
     assert out.read_bytes() == serial_bytes(g, 0.5, 1)[1]
 
@@ -270,3 +270,90 @@ def test_stdout_file_append_and_pipe(k12, tmp_path):
         assert proc.returncode == 0
         head = b"head\n" if mode == "ab" else b""
         assert path.read_bytes() == head + expected
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Graph files by the size of their output: C(16, 8) = 12,870 lines,
+    far more than a pipe holds, and two lines, which fit in any buffer."""
+    folder = tmp_path_factory.mktemp("outputs")
+    with open(folder / "k16.txt", "w") as fh:
+        dump_graph(build_extremal_graph(16, 0.5), fh)
+    (folder / "two-lines.txt").write_text("n 3\n1 2 0.9\n")
+    return {"k16": folder / "k16.txt", "two-lines": folder / "two-lines.txt"}
+
+
+# Runs `umc enumerate` in development mode, where a file left open is
+# reported on stderr, and reports there too any child process left.
+WRITE_ERROR_RUN = """
+import os, sys
+import umc.cli as cli
+rc = cli.main(["enumerate", "--input", *sys.argv[1:]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("children left", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(rc)
+"""
+
+
+def write_error_run(*args, **kwargs):
+    """Popen keyword arguments for WRITE_ERROR_RUN with args; stdout is
+    block-buffered, as it is for a user, whatever PYTHONUNBUFFERED says
+    here."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return dict(args=[sys.executable, "-X", "dev", "-W",
+                      "error::ResourceWarning", "-c", WRITE_ERROR_RUN,
+                      *map(str, args)],
+                stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+def assert_clean(stderr):
+    for text in ("Traceback", "Exception ignored", "children left"):
+        assert text not in stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--canonical"]],
+                         ids=["default", "canonical"])
+@pytest.mark.parametrize("size", ["k16", "two-lines"])
+def test_reader_closing_the_pipe_early_ends_the_run_quietly(outputs, flags,
+                                                           size):
+    # The reader takes one line of k16's output.  Two lines fit in the
+    # pipe, so there it reads none and closes at once, and the run fails
+    # only on its last flush.
+    proc = subprocess.Popen(**write_error_run(
+        outputs[size], "--alpha", "0.5", *flags, stdout=subprocess.PIPE))
+    try:
+        first = proc.stdout.readline() if size == "k16" else ""
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=TIMEOUT_S)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=TIMEOUT_S)
+    if size == "k16":
+        assert len(first.split()) == 9  # a probability and 8 vertices
+    assert proc.returncode == 1
+    assert_clean(err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device that is always full")
+@pytest.mark.parametrize("flags", [[], ["--canonical"]],
+                         ids=["default", "canonical"])
+@pytest.mark.parametrize("target", ["--out", "stdout"])
+@pytest.mark.parametrize("size", ["k16", "two-lines"])
+def test_full_output_is_one_error_line(outputs, flags, target, size):
+    out = ["--out", "/dev/full"] if target == "--out" else []
+    with open("/dev/full", "wb") as stdout:
+        proc = subprocess.run(**write_error_run(
+            outputs[size], "--alpha", "0.5", *flags, *out, stdout=stdout,
+            timeout=TIMEOUT_S))
+    assert proc.returncode == 2
+    name = "/dev/full" if out else "stdout"
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: cannot write {name}: ")
+    assert_clean(proc.stderr)

@@ -143,7 +143,7 @@ def test_kernel_stream_is_independent_of_invariant_checks(g, alpha):
 def ceiling_graphs(draw, max_n=10):
     """A graph whose edges share a few probabilities, with alpha an exact
     power of one of them, so that many cliques sit at alpha and the
-    kernel's factor ceilings fire."""
+    kernel's factor ceiling fires."""
     probs = draw(st.lists(st.sampled_from([0.3, 0.5, 0.6, 0.8, 0.9, 1.0]),
                           min_size=1, max_size=3, unique=True))
     n = draw(st.integers(min_value=1, max_value=max_n))
