@@ -150,6 +150,8 @@ def cmd_enumerate(args) -> int:
         raise UsageError("--min-size must be >= 1")
     g = _load_file(args.input, args.prob_model)
     out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
+    if out is None:  # the interpreter started with file descriptor 1 closed
+        raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     workers = (parallel.available_workers(out)
                if args.algo == "mule" and not args.canonical else 1)
     try:

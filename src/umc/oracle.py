@@ -38,26 +38,26 @@ class OracleResult:
 
 
 def brute_force_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
-    """Test every nonempty subset, keep the alpha-cliques, filter to the
-    maximal ones.  Definitionally correct; exponential; refuses n > 25."""
+    """Test every nonempty subset, keep the alpha-cliques, and of those
+    the maximal ones: the ones no single vertex extends to another
+    alpha-clique, which suffices by subset monotonicity.  Definitionally
+    correct; exponential; refuses n > 25."""
     check_alpha(alpha)
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {g.n}")
-    alpha_cliques: list[tuple[frozenset[int], tuple[int, ...], float]] = []
+    alpha_cliques: dict[tuple[int, ...], float] = {}
     for size in range(1, g.n + 1):
+        before = len(alpha_cliques)
         for combo in combinations(range(g.n), size):
             q = clique_probability_or_none(g, combo)
             if q is not None and q >= alpha:
-                alpha_cliques.append((frozenset(combo), combo, q))
-    # Maximality filter: scan by size descending, keep sets contained in
-    # no previously kept set.  Quadratic in the clique count, fine here.
-    alpha_cliques.sort(key=lambda item: len(item[1]), reverse=True)
-    kept: list[tuple[frozenset[int], tuple[int, ...], float]] = []
-    for fs, combo, q in alpha_cliques:
-        if not any(fs < other for other, _, _ in kept):
-            kept.append((fs, combo, q))
-    result = tuple(sorted((combo, q) for _, combo, q in kept))
-    return OracleResult(result)
+                alpha_cliques[combo] = q
+        if len(alpha_cliques) == before:
+            break  # no alpha-clique of this size, so none larger
+    kept = [(combo, q) for combo, q in alpha_cliques.items()
+            if not any(tuple(sorted(combo + (v,))) in alpha_cliques
+                       for v in range(g.n) if v not in combo)]
+    return OracleResult(tuple(sorted(kept)))
 
 
 def max_clique_count_bound(n: int) -> int:

@@ -17,7 +17,6 @@ holder dies, so a worker that fails can never leave the others waiting.
 
 from __future__ import annotations
 
-import errno
 import fcntl
 import os
 import signal
@@ -31,9 +30,9 @@ from .algorithms import _enumerate, search_roots, size_filter
 from .graph import Clique, UncertainGraph
 
 _COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
-_SEGMENT = struct.Struct("4q")  # per claim: worker, offset, length, cliques
+_SEGMENT = struct.Struct("3q")  # per claim: worker, offset, length
 BUFFER_LINES = 1024  # formatted lines a worker holds before it writes
-COPY_CHUNK = 1 << 20  # bytes per copy call into the output
+COPY_CHUNK = 1 << 16  # bytes per read and write; the buffer counts in RSS
 
 
 class WorkerError(RuntimeError):
@@ -66,15 +65,16 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     """Write the lines fmt gives for g's alpha-maximal cliques with at
     least t vertices to out, in the order large_mule emits them, using at
     most `workers` processes (this one included).  Returns the clique
-    count and the milliseconds spent from the size filter to the last
-    byte copied, as cli._run_enumeration does for its sink.
+    count, taken from the lines copied (fmt gives one line per clique),
+    and the milliseconds spent from the size filter to the last byte
+    copied, as cli._run_enumeration does for its sink.
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim covers
     every root after it.  Raises WorkerError, after killing and reaping
     the other workers, when one exits nonzero; that worker has printed its
-    traceback to file descriptor 2.  Raises OutputError when writing to
-    out fails, any other OSError for a failure on the spool side.
+    traceback to file descriptor 2.  Raises OutputError when flushing or
+    writing out fails; a failure on the spool side keeps its exception.
     """
     start = time.perf_counter()
     g = size_filter(g, alpha, t)
@@ -102,14 +102,10 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                 raise WorkerError(f"a search worker exited with status {code}")
         segments = _SEGMENT.iter_unpack(os.pread(
             ledger, _SEGMENT.size * len(ends), _COUNTER.size))
-        count = 0
-        try:
-            out.flush()
-            for w, offset, length, cliques in segments:
-                _copy(spools[w].fileno(), out.fileno(), offset, offset + length)
-                count += cliques
-        except OSError as exc:
-            raise OutputError(exc.errno, exc.strerror) from None
+        _output(out.flush)
+        count = sum(_copy(spools[w].fileno(), out.fileno(), offset,
+                          offset + length)
+                    for w, offset, length in segments)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -143,12 +139,9 @@ def _fork(work, w: int) -> int:
 def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
     """Worker w: claim, search, format and spool until no claim is left."""
     lines: list[str] = []
-    written = 0  # lines already in spool
 
     def flush():
-        nonlocal written
         if lines:
-            written += len(lines)
             lines.append("")
             spool.write("\n".join(lines).encode("ascii"))
             lines.clear()
@@ -160,11 +153,10 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
 
     def roots():
         while (k := _claim(ledger)) < len(ends):
-            offset, before = spool.tell(), written
+            offset = spool.tell()
             yield from range(ends[k - 1] if k else 0, ends[k])
             flush()
-            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset,
-                                            written - before),
+            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
                       _COUNTER.size + _SEGMENT.size * k)
 
     _enumerate(g, alpha, sink, roots(), t, check_invariants=False)
@@ -182,18 +174,24 @@ def _claim(ledger: int) -> int:
     return k
 
 
-def _copy(src: int, dst: int, offset: int, end: int) -> None:
-    """Copy bytes offset..end of src to dst's current position, at most
-    COPY_CHUNK at a time.  Where sendfile cannot write to dst (a terminal,
-    a file opened for appending), the bytes go through a buffer."""
+def _copy(src: int, dst: int, offset: int, end: int) -> int:
+    """Copy bytes offset..end of src to dst's current position, one pread
+    and one write of at most COPY_CHUNK bytes at a time; returns the
+    number of lines copied.  Only a failed write raises OutputError."""
+    lines = 0
     while offset < end:
-        size = min(end - offset, COPY_CHUNK)
-        try:
-            sent = os.sendfile(dst, src, offset, size)
-        except OSError as exc:
-            if exc.errno not in (errno.EINVAL, errno.ENOSYS):
-                raise
-            sent = os.write(dst, os.pread(src, size, offset))
-        if not sent:
+        data = os.pread(src, min(end - offset, COPY_CHUNK), offset)
+        if not data:
             raise EOFError(f"spool ended at byte {offset} of {end}")
+        sent = _output(os.write, dst, data)
+        lines += data.count(b"\n", 0, sent)
         offset += sent
+    return lines
+
+
+def _output(call, *args):
+    """call(*args), with an OSError it raises turned into OutputError."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise OutputError(exc.errno, exc.strerror) from None

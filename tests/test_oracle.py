@@ -3,6 +3,10 @@ extremal construction, and the Monte-Carlo estimator."""
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,20 @@ class TestBruteForce:
     def test_canonical_order(self):
         res = brute_force_enumerate(parse("1 2 0.9\n2 3 0.8\n"), 0.75)
         assert list(res.cliques) == sorted(res.cliques)
+
+    def test_extremal_n18_in_a_minute(self):
+        # 48,620 maximal cliques among 155,381 alpha-cliques: a
+        # maximality test quadratic in the clique count takes minutes.
+        # The subprocess lets the timeout stop it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        script = ("from umc import oracle\n"
+                  "g = oracle.build_extremal_graph(18, 0.5)\n"
+                  "print(len(oracle.brute_force_enumerate(g, 0.5).cliques))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split() == [str(math.comb(18, 9))]
 
 
 class TestCountBound:

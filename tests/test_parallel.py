@@ -5,6 +5,7 @@ cases the parallel path cannot serve must take the serial path.
 No test starts more processes than os.sched_getaffinity(0) allows, and
 every wait has a timeout."""
 
+import errno
 import io
 import os
 import subprocess
@@ -249,7 +250,7 @@ def test_failing_parent_kills_the_worker(k12, tmp_path):
 
 
 # stdout as the shell hands it over: a file, a file opened for appending
-# (where sendfile refuses to write) and a pipe.
+# and a pipe.
 STDOUT_RUN = """
 import sys
 import umc.cli as cli
@@ -357,3 +358,48 @@ def test_full_output_is_one_error_line(outputs, flags, target, size):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(f"error: cannot write {name}: ")
     assert_clean(proc.stderr)
+
+
+@pytest.mark.parametrize("flags", [[], ["--canonical"]],
+                         ids=["default", "canonical"])
+def test_closed_stdout_is_one_error_line(outputs, flags):
+    # The interpreter sets sys.stdout to None when it starts with file
+    # descriptor 1 closed.
+    proc = subprocess.run(**write_error_run(
+        outputs["two-lines"], "--alpha", "0.5", *flags,
+        preexec_fn=lambda: os.close(1), timeout=TIMEOUT_S))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert_clean(proc.stderr)
+
+
+# Runs `umc enumerate --out argv[2]` with every read of a whole COPY_CHUNK
+# failing with EIO.  Only the parent's copy phase reads that many bytes.
+SPOOL_READ_ERROR_RUN = """
+import errno, os, sys
+import umc.cli as cli
+from umc import parallel
+
+real = os.pread
+
+def pread(fd, size, offset):
+    if size == parallel.COPY_CHUNK:
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+    return real(fd, size, offset)
+
+os.pread = pread
+sys.exit(cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",
+                   "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs two CPUs for a worker process")
+def test_failed_spool_read_is_not_an_output_error(outputs, tmp_path):
+    # k16's first segment, the C(15, 7) cliques of root 0, is longer than
+    # one chunk.
+    proc = run_cli_script(SPOOL_READ_ERROR_RUN, outputs["k16"],
+                          tmp_path / "c.txt")
+    assert proc.returncode == 1
+    assert f"OSError: [Errno {errno.EIO}] " in proc.stderr
+    assert "cannot write" not in proc.stderr

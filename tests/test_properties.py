@@ -51,6 +51,22 @@ def test_mule_matches_oracle(g, alpha):
 
 
 @settings(max_examples=60, deadline=None)
+@given(uncertain_graphs(max_n=9), alphas)
+def test_oracle_keeps_alpha_cliques_without_alpha_supersets(g, alpha):
+    """The oracle's one-vertex extension test against the definition: an
+    alpha-clique is maximal iff no alpha-clique is a proper superset."""
+    found = {}
+    for size in range(1, g.n + 1):
+        for combo in combinations(range(g.n), size):
+            q = clique_probability_or_none(g, combo)
+            if q is not None and q >= alpha:
+                found[frozenset(combo)] = (combo, q)
+    maximal = sorted(found[c] for c in found
+                     if not any(c < other for other in found))
+    assert brute_force_enumerate(g, alpha).cliques == tuple(maximal)
+
+
+@settings(max_examples=60, deadline=None)
 @given(uncertain_graphs(), alphas)
 def test_emissions_are_sound_and_unique(g, alpha):
     out = run(mule, g, alpha)
