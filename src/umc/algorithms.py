@@ -14,9 +14,13 @@ mule and large_mule build each root vertex's frame straight from its
 row (UncertainGraph.row), keeping only edges with p >= alpha, and run one
 depth-first search per root; no search step scans vertices outside a
 neighbourhood.  Each step reads the added vertex's row once and does one
-dict lookup per candidate; a child left with no extension candidates is
-decided in place, without a frame.  A factor ceiling, a bound on every
-cached factor of a frame, decides cliques at the threshold unscanned.
+dict lookup per candidate; a child left with no extension candidates,
+or with one (whose one child is then a leaf), is decided in place,
+without a frame.  A factor ceiling, a bound on every cached factor of a
+frame, decides cliques at the threshold unscanned and hands them over as
+one batch.  A frame's exclusion list is built only when a child of the
+frame needs it; until then a leaf's witness test reads the parent's list
+through both rows.
 A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
 large_mule's shared_neighborhood_filter reads only the edges with
@@ -27,6 +31,7 @@ on an alpha-pruned copy (graph.prune_by_alpha).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable
 
 from .graph import (
@@ -57,16 +62,23 @@ class _Frame:
     excl     exclusion witnesses (v, s), v < max(clique), v not in clique;
              q*s is the probability of clique+{v} and is >= alpha
     cap      factor ceiling: bounds every factor ext and excl ever hold
+    parent   None once excl is complete.  Otherwise excl holds only the
+             siblings appended since the push, and the rest of the list
+             is the parent's first plen entries (parent.excl is complete)
+             filtered through max(clique)'s row; _search builds it when
+             a child of this frame needs it (see _search).
     """
 
-    __slots__ = ("clique", "q", "ext", "excl", "cap", "i")
+    __slots__ = ("clique", "q", "ext", "excl", "cap", "parent", "plen", "i")
 
-    def __init__(self, clique, q, ext, excl, cap):
+    def __init__(self, clique, q, ext, excl, cap, parent=None, plen=0):
         self.clique = clique
         self.q = q
         self.ext = ext
         self.excl = excl
         self.cap = cap
+        self.parent = parent
+        self.plen = plen
         self.i = 0  # next extension index to process
 
 
@@ -122,10 +134,16 @@ def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
     return roots
 
 
-def _enumerate(g, alpha, sink, roots, t, *, check_invariants):
+def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
     """One depth-first search per root vertex u, taken from the iterable
     roots in ascending order, emitting the alpha-maximal cliques with at
     least t vertices.
+
+    The cliques the factor ceiling decides come in batches, one per
+    frame, and go to emit(c, q, ext): the cliques c+(w,) with
+    probability q*r for (w, r) in ext, in that order.  Every other clique
+    goes to sink.  The default emit hands each clique of a batch to sink
+    as a Clique, so sink alone sees the whole stream.
 
     u's frame is built from its row alone: ext holds the neighbours above
     u and excl those below, each with its edge probability as the cached
@@ -136,6 +154,10 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants):
     alone, and any set of roots can be searched in any process.
     """
     check_alpha(alpha)
+    if emit is None:
+        def emit(c, q, ext):
+            for w, r in ext:
+                sink(Clique(c + (w,), q * r))
     rowmax = [max(g.row(u).values(), default=0.0) for u in range(g.n)]
     count = 0
     for u in roots:
@@ -148,7 +170,7 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants):
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
             count += _search(g, _Frame((u,), 1.0, ext, excl, rowmax[u]),
-                             rowmax, alpha, sink, t,
+                             rowmax, alpha, sink, emit, t,
                              check_invariants=check_invariants)
         elif not excl:
             sink(Clique((u,), 1.0))
@@ -156,18 +178,31 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants):
     return count
 
 
-def _search(g, root, rowmax, alpha, sink, t, *, check_invariants):
+def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
     """Emit the alpha-maximal cliques with at least t vertices in root's
     subtree; returns the count.
 
     A child whose ext comes out empty is a leaf, decided without a frame:
     it is maximal exactly when no exclusion witness survives its addition.
+    A child c2 with one extension candidate w is not maximal, and its one
+    child c2+{w} is a leaf, decided here against fr's list through the
+    rows of u and w, as c2's frame would decide it.
     The factor ceiling cap2 = fr.cap*rowmax[u] of c2 = C+{u} bounds every
     factor c2's candidates will hold, and rounding is monotone, so when
     (q2*cap2)*cap2 < alpha no child of c2 can be extended: each is a leaf
-    with no witness, emitted straight from ext2.  The ceiling only skips
-    tests that would fail, so the output is unchanged; under
+    with no witness, and ext2 goes to emit as one batch.  The ceiling only
+    skips tests that would fail, so the output is unchanged; under
     check_invariants the tests run anyway and must agree.
+
+    A pushed frame's exclusion list is lazy (see _Frame): most frames
+    have only leaf children, whose witness tests stop at the first
+    survivor, so a full list is built only for a frame that pushes a
+    child frame or decides a child with one candidate.  Until then a
+    leaf's test scans the frame's later siblings, then the parent's list
+    through the frame vertex's row and the leaf's, with the same products
+    in the same order as the full list would hold them.  Under
+    check_invariants every child with candidates gets a frame, and every
+    list is built at the push and checked.
     """
     count = 0
     # Explicit frame stack: depth reaches the largest clique size, up to n,
@@ -182,28 +217,46 @@ def _search(g, root, rowmax, alpha, sink, t, *, check_invariants):
         fr.i += 1
         q2 = fr.q * r
         c2 = fr.clique + (u,)
-        # fr.ext is sorted by vertex, so the entries after u are those above it
-        ext2 = _filter(g, u, q2, fr.ext[fr.i:], alpha)
+        # fr.ext is sorted by vertex, so the entries after u are those above
+        # it; the last child has none
+        ext2 = (_filter(g, u, q2, fr.ext[fr.i:], alpha)
+                if fr.i < len(fr.ext) else [])
         if len(c2) + len(ext2) < t:
             continue  # subtree cannot reach the size threshold
-        cap2 = fr.cap * rowmax[u]
-        if ext2 and not check_invariants and q2 * cap2 * cap2 < alpha:
-            if len(c2) + 1 >= t:
-                for w, r2 in ext2:
-                    sink(Clique(c2 + (w,), q2 * r2))
-                count += len(ext2)
-        elif ext2 or check_invariants:
+        if check_invariants:
             excl2 = _filter(g, u, q2, fr.excl, alpha)
-            if check_invariants:
-                _check_frame(g, c2, q2, ext2, excl2, alpha)
+            _check_frame(g, c2, q2, ext2, excl2, alpha)
             if ext2:
-                stack.append(_Frame(c2, q2, ext2, excl2, cap2))
+                stack.append(_Frame(c2, q2, ext2, excl2, fr.cap * rowmax[u]))
             elif not excl2:
                 sink(Clique(c2, q2))
                 count += 1
-        elif not _has_witness(g, u, q2, fr.excl, alpha):
-            sink(Clique(c2, q2))
-            count += 1
+        elif not ext2:
+            if not (_has_witness(g, u, q2, fr.excl, alpha)
+                    or fr.parent is not None and _has_inherited_witness(
+                        g, fr.clique[-1], fr.q, u, q2,
+                        islice(fr.parent.excl, fr.plen), alpha)):
+                sink(Clique(c2, q2))
+                count += 1
+        elif q2 * (cap2 := fr.cap * rowmax[u]) * cap2 < alpha:
+            if len(c2) + 1 >= t:
+                emit(c2, q2, ext2)
+                count += len(ext2)
+        else:
+            if fr.parent is not None:
+                fr.excl = _filter(g, fr.clique[-1], fr.q,
+                                  fr.parent.excl[:fr.plen], alpha) + fr.excl
+                fr.parent = None
+            if len(ext2) > 1:
+                stack.append(_Frame(c2, q2, ext2, [], cap2, fr, len(fr.excl)))
+            else:
+                # c2's one child, c2+w, is a leaf: decided here, as its
+                # frame would decide it, without the frame
+                w, r2 = ext2[0]
+                if not _has_inherited_witness(g, u, q2, w, q2 * r2, fr.excl,
+                                              alpha):
+                    sink(Clique(c2 + (w,), q2 * r2))
+                    count += 1
         # u's subtree is settled before any later sibling is expanded, so
         # u is already a maximality witness for everything to its right.
         fr.excl.append((u, r))
@@ -230,6 +283,20 @@ def _has_witness(g, m, q_new, excl, alpha):
         p = row.get(v)
         if p is not None and q_new * (s * p) >= alpha:
             return True
+    return False
+
+
+def _has_inherited_witness(g, m, q_m, u, q_new, excl, alpha):
+    """Whether _filter(g, u, q_new, _filter(g, m, q_m, excl, alpha), alpha)
+    is nonempty, found early: m's row and then u's, each product taken as
+    the two filters take it."""
+    row_m, row_u = g.row(m), g.row(u)
+    for v, s in excl:
+        p = row_m.get(v)
+        if p is not None and q_m * (s := s * p) >= alpha:
+            p = row_u.get(v)
+            if p is not None and q_new * (s * p) >= alpha:
+                return True
     return False
 
 

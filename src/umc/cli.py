@@ -120,7 +120,8 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     that replaces one on this module (to trace it, say) sees its
     replacement run.  That holds on this serial path only: cmd_enumerate's
     parallel path (umc.parallel) calls size_filter and the search kernel
-    directly, and looks up only format_clique at call time.
+    directly, and looks up only format_clique, for single cliques, and
+    parallel.format_batch, for the kernel's batches, at call time.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)

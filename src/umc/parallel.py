@@ -7,9 +7,12 @@ forks; the workers share the graph copy-on-write.  Every worker, the
 parent among them, claims roots from a counter in a shared ledger file,
 searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the
-ledger.  Once every worker has finished, the parent copies the segments
-into the output in claim order, which is root order, so the output is
-byte for byte that of a serial run.
+ledger.  The cliques the kernel decides by its factor ceiling come in
+batches that share all but their last vertex (see algorithms._search),
+and format_batch writes the shared labels once per batch.  Once every
+worker has finished, the parent copies the segments into the output in
+claim order, which is root order, so the output is byte for byte that
+of a serial run.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -64,10 +67,13 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                    workers: int) -> tuple[int, float]:
     """Write the lines fmt gives for g's alpha-maximal cliques with at
     least t vertices to out, in the order large_mule emits them, using at
-    most `workers` processes (this one included).  Returns the clique
-    count, taken from the lines copied (fmt gives one line per clique),
-    and the milliseconds spent from the size filter to the last byte
-    copied, as cli._run_enumeration does for its sink.
+    most `workers` processes (this one included).  The cliques the kernel
+    emits in batches (see algorithms._enumerate) are written as
+    format_batch gives them, which is as cli.format_clique does, so fmt
+    must give format_clique's lines too.  Returns the clique count, taken
+    from the lines copied (one line per clique), and the milliseconds
+    spent from the size filter to the last byte copied, as
+    cli._run_enumeration does for its sink.
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim covers
@@ -136,6 +142,25 @@ def _fork(work, w: int) -> int:
         os._exit(status)
 
 
+def format_batch(g: UncertainGraph, c: tuple, q: float,
+                 ext: list) -> list[str]:
+    """The clique-stream lines (cli.format_clique's) of the cliques
+    c+(w,), with probability q*r, for (w, r) in ext.  c's labels are
+    joined once; a leaf whose label is above all of them (the last one
+    joined) is written after them, and any other is sorted in by
+    label_text."""
+    prefix = g.label_text(c)
+    top = int(prefix.rpartition(" ")[2])
+    lines = []
+    for w, r in ext:
+        name = g.label(w)
+        if name > top:
+            lines.append(f"{q * r:.17g} {prefix} {name}")
+        else:
+            lines.append(f"{q * r:.17g} " + g.label_text(c + (w,)))
+    return lines
+
+
 def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
     """Worker w: claim, search, format and spool until no claim is left."""
     lines: list[str] = []
@@ -151,6 +176,11 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
         if len(lines) >= BUFFER_LINES:
             flush()
 
+    def emit(c, q, ext):
+        lines.extend(format_batch(g, c, q, ext))
+        if len(lines) >= BUFFER_LINES:
+            flush()
+
     def roots():
         while (k := _claim(ledger)) < len(ends):
             offset = spool.tell()
@@ -159,7 +189,7 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
             os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
                       _COUNTER.size + _SEGMENT.size * k)
 
-    _enumerate(g, alpha, sink, roots(), t, check_invariants=False)
+    _enumerate(g, alpha, sink, roots(), t, check_invariants=False, emit=emit)
     spool.flush()
 
 

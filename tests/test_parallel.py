@@ -12,11 +12,12 @@ import subprocess
 import sys
 import tempfile
 import threading
+from itertools import combinations
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from umc import cli, parallel
 from umc.algorithms import _enumerate, search_roots, size_filter
@@ -69,6 +70,46 @@ def graphs_with_isolated_vertices(draw):
 @given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
        st.integers(min_value=1, max_value=4))
 def test_parallel_bytes_equal_serial_bytes(g, alpha, t):
+    assert parallel_bytes(g, alpha, t) == serial_bytes(g, alpha, t)
+
+
+@st.composite
+def ceiling_graphs(draw):
+    """4 to 10 vertices, some of them isolated, under shuffled labels.
+    The edges share one or two probabilities below 1 and alpha is the
+    cube or a higher power of one of them, so many cliques of 3 to 5
+    vertices sit at alpha and the kernel decides them by its factor
+    ceiling, in batches (in about 40% of the examples)."""
+    probs = draw(st.lists(st.sampled_from([0.5, 0.6, 0.8, 0.9]),
+                          min_size=1, max_size=2, unique=True))
+    n = draw(st.integers(min_value=4, max_value=10))
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    edges = [(u, v, draw(st.sampled_from(probs)))
+             for u, v in combinations(range(n), 2)
+             if not isolated & {u, v} and draw(st.integers(0, 5))]
+    labels = draw(st.permutations(range(1, n + 1)))
+    alpha = draw(st.sampled_from(probs)) ** draw(st.integers(3, 6))
+    return UncertainGraph(n, edges, labels), alpha
+
+
+def lazy_scan_case(p_03):
+    """Vertices 0..4 (internal indices, under labels that do not ascend):
+    0-1, 0-2, 1-2, 1-3, 2-3, 1-4 and 2-4 at 0.9, and 0-3 at p_03.  Root
+    1's child {1,2} has the candidates 3 and 4, so it is pushed with a
+    lazy exclusion list, and its leaf {1,2,3} is decided by the scan of
+    root 1's list, [0], through the rows of 2 and 3: it finds 0 when
+    {0,1,2,3} is at or above alpha = 0.5 and none when it is below."""
+    edges = [(0, 1, 0.9), (0, 2, 0.9), (0, 3, p_03), (1, 2, 0.9),
+             (1, 3, 0.9), (1, 4, 0.9), (2, 3, 0.9), (2, 4, 0.9)]
+    return UncertainGraph(5, edges, [3, 1, 5, 2, 4]), 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(ceiling_graphs(), st.integers(min_value=1, max_value=4))
+@example(lazy_scan_case(0.9), 1)
+@example(lazy_scan_case(0.3), 1)
+def test_parallel_bytes_equal_serial_bytes_at_the_ceiling(case, t):
+    g, alpha = case
     assert parallel_bytes(g, alpha, t) == serial_bytes(g, alpha, t)
 
 
@@ -196,27 +237,31 @@ def run_cli_script(script, *args, stdout=subprocess.PIPE):
                           env=env, timeout=TIMEOUT_S)
 
 
-# Runs `umc enumerate` with a format_clique that raises in one process
-# (argv[3]: the parent or its worker) and stalls argv[4] seconds on the
-# first clique in the other, then prints the exit code and whether any
-# child process is left.
+# Runs `umc enumerate` with formatters (format_clique for single cliques,
+# parallel.format_batch for the batches the kernel emits) that raise in
+# one process (argv[3]: the parent or its worker) and stall argv[4]
+# seconds on the first clique in the other, then prints the exit code and
+# whether any child process is left.
 FAILING_RUN = """
 import os, sys, time
 import umc.cli as cli
+from umc import parallel
 
 parent = os.getpid()
-real = cli.format_clique
 stalled = []
 
-def fmt(g, c):
-    if (os.getpid() == parent) == (sys.argv[3] == "parent"):
-        raise RuntimeError("format failed")
-    if not stalled:
-        stalled.append(True)
-        time.sleep(float(sys.argv[4]))
-    return real(g, c)
+def failing(real):
+    def fmt(*args):
+        if (os.getpid() == parent) == (sys.argv[3] == "parent"):
+            raise RuntimeError("format failed")
+        if not stalled:
+            stalled.append(True)
+            time.sleep(float(sys.argv[4]))
+        return real(*args)
+    return fmt
 
-cli.format_clique = fmt
+cli.format_clique = failing(cli.format_clique)
+parallel.format_batch = failing(parallel.format_batch)
 try:
     rc = cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",
                    "--out", sys.argv[2]])
