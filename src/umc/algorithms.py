@@ -140,10 +140,12 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
     least t vertices.
 
     The cliques the factor ceiling decides come in batches, one per
-    frame, and go to emit(c, q, ext): the cliques c+(w,) with
-    probability q*r for (w, r) in ext, in that order.  Every other clique
-    goes to sink.  The default emit hands each clique of a batch to sink
-    as a Clique, so sink alone sees the whole stream.
+    child C+u of a frame, and go to emit(c, u, q, ext): the cliques
+    c+(u, w) with probability q*r for (w, r) in ext, in that order.  c is
+    the frame's own clique tuple, the same object for every batch of the
+    frame, so a caller can key per-frame work on its identity.  Every
+    other clique goes to sink.  The default emit hands each clique of a
+    batch to sink as a Clique, so sink alone sees the whole stream.
 
     u's frame is built from its row alone: ext holds the neighbours above
     u and excl those below, each with its edge probability as the cached
@@ -155,9 +157,10 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
     """
     check_alpha(alpha)
     if emit is None:
-        def emit(c, q, ext):
+        def emit(c, u, q, ext):
+            c2 = c + (u,)
             for w, r in ext:
-                sink(Clique(c + (w,), q * r))
+                sink(Clique(c2 + (w,), q * r))
     rowmax = [max(g.row(u).values(), default=0.0) for u in range(g.n)]
     count = 0
     for u in roots:
@@ -184,13 +187,14 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
 
     A child whose ext comes out empty is a leaf, decided without a frame:
     it is maximal exactly when no exclusion witness survives its addition.
-    A child c2 with one extension candidate w is not maximal, and its one
-    child c2+{w} is a leaf, decided here against fr's list through the
-    rows of u and w, as c2's frame would decide it.
-    The factor ceiling cap2 = fr.cap*rowmax[u] of c2 = C+{u} bounds every
-    factor c2's candidates will hold, and rounding is monotone, so when
-    (q2*cap2)*cap2 < alpha no child of c2 can be extended: each is a leaf
-    with no witness, and ext2 goes to emit as one batch.  The ceiling only
+    A child C+{u} with one extension candidate w is not maximal, and its
+    one child C+{u,w} is a leaf, decided here against fr's list through
+    the rows of u and w, as C+{u}'s frame would decide it.
+    The factor ceiling cap2 = fr.cap*rowmax[u] of C+{u} bounds every
+    factor its candidates will hold, and rounding is monotone, so when
+    (q2*cap2)*cap2 < alpha no child of C+{u} can be extended: each is a
+    leaf with no witness, and the batch goes to emit as (C, u, q2, ext2),
+    with fr's own clique tuple as C (see _enumerate).  The ceiling only
     skips tests that would fail, so the output is unchanged; under
     check_invariants the tests run anyway and must agree.
 
@@ -210,20 +214,24 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
     stack = [root]
     while stack:
         fr = stack[-1]
-        if fr.i >= len(fr.ext):
+        ext = fr.ext
+        i = fr.i
+        if i >= len(ext):
             stack.pop()
             continue
-        u, r = fr.ext[fr.i]
-        fr.i += 1
+        entry = ext[i]
+        u, r = entry
+        i += 1
+        fr.i = i
+        c = fr.clique
         q2 = fr.q * r
-        c2 = fr.clique + (u,)
-        # fr.ext is sorted by vertex, so the entries after u are those above
+        # ext is sorted by vertex, so the entries after u are those above
         # it; the last child has none
-        ext2 = (_filter(g, u, q2, fr.ext[fr.i:], alpha)
-                if fr.i < len(fr.ext) else [])
-        if len(c2) + len(ext2) < t:
+        ext2 = _filter(g, u, q2, ext[i:], alpha) if i < len(ext) else []
+        if len(c) + 1 + len(ext2) < t:
             continue  # subtree cannot reach the size threshold
         if check_invariants:
+            c2 = c + (u,)
             excl2 = _filter(g, u, q2, fr.excl, alpha)
             _check_frame(g, c2, q2, ext2, excl2, alpha)
             if ext2:
@@ -234,32 +242,33 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
         elif not ext2:
             if not (_has_witness(g, u, q2, fr.excl, alpha)
                     or fr.parent is not None and _has_inherited_witness(
-                        g, fr.clique[-1], fr.q, u, q2,
+                        g, c[-1], fr.q, u, q2,
                         islice(fr.parent.excl, fr.plen), alpha)):
-                sink(Clique(c2, q2))
+                sink(Clique(c + (u,), q2))
                 count += 1
         elif q2 * (cap2 := fr.cap * rowmax[u]) * cap2 < alpha:
-            if len(c2) + 1 >= t:
-                emit(c2, q2, ext2)
+            if len(c) + 2 >= t:
+                emit(c, u, q2, ext2)
                 count += len(ext2)
         else:
             if fr.parent is not None:
-                fr.excl = _filter(g, fr.clique[-1], fr.q,
+                fr.excl = _filter(g, c[-1], fr.q,
                                   fr.parent.excl[:fr.plen], alpha) + fr.excl
                 fr.parent = None
             if len(ext2) > 1:
-                stack.append(_Frame(c2, q2, ext2, [], cap2, fr, len(fr.excl)))
+                stack.append(_Frame(c + (u,), q2, ext2, [], cap2, fr,
+                                    len(fr.excl)))
             else:
-                # c2's one child, c2+w, is a leaf: decided here, as its
+                # C+u's one child, C+u+w, is a leaf: decided here, as its
                 # frame would decide it, without the frame
                 w, r2 = ext2[0]
                 if not _has_inherited_witness(g, u, q2, w, q2 * r2, fr.excl,
                                               alpha):
-                    sink(Clique(c2 + (w,), q2 * r2))
+                    sink(Clique(c + (u, w), q2 * r2))
                     count += 1
         # u's subtree is settled before any later sibling is expanded, so
         # u is already a maximality witness for everything to its right.
-        fr.excl.append((u, r))
+        fr.excl.append(entry)
     return count
 
 

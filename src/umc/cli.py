@@ -12,7 +12,6 @@ line, "<prob:17sig> <v1> <v2> ... <vk>" with external vertex ids ascending.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import math
 import os
@@ -22,7 +21,6 @@ from typing import TextIO
 
 from . import parallel
 from .algorithms import dfs_noip, large_mule, mule
-from .generators import GenSpec, coauthor_prob_parser
 from .graph import (
     Clique,
     GraphFormatError,
@@ -35,7 +33,9 @@ from .graph import (
     number,
     prune_by_alpha,
 )
-from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate
+
+# umc.generators, umc.oracle and csv serve only generate, bench, verify and
+# --prob-model coauthor; those import them, so `umc enumerate` does not.
 
 CSV_COLUMNS = ["graph", "algo", "alpha", "t", "count", "out_vertices",
                "ms", "depth", "seed"]
@@ -83,7 +83,10 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 
 def _load_file(path: str, prob_model: str) -> UncertainGraph:
-    parser = coauthor_prob_parser if prob_model == "coauthor" else float
+    if prob_model == "coauthor":
+        from .generators import coauthor_prob_parser as parser
+    else:
+        parser = float
     try:
         with open(path) as fh:
             return load_graph(fh, prob_parser=parser)
@@ -121,7 +124,9 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     replacement run.  That holds on this serial path only: cmd_enumerate's
     parallel path (umc.parallel) calls size_filter and the search kernel
     directly, and looks up only format_clique, for single cliques, and
-    parallel.format_batch, for the kernel's batches, at call time.
+    parallel.format_batch, for each of the kernel's batches, at call
+    time; the label text of a batch's frame is joined once, by
+    g.label_text, outside format_batch.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)
@@ -229,6 +234,8 @@ def _parse_clique_file(g: UncertainGraph, path: str):
 
 
 def cmd_verify(args) -> int:
+    from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate
+
     alpha = _check_alpha_arg(args.alpha)
     g = _load_file(args.input, args.prob_model)
     if args.complete and g.n > BRUTE_FORCE_MAX_N:
@@ -267,6 +274,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generators import GenSpec
+
     if args.family == "extremal" and args.alpha is None:
         raise UsageError("extremal family requires --alpha")
     fields = {"m": args.m, "density": args.density,
@@ -302,6 +311,10 @@ def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
 
 
 def cmd_bench(args) -> int:
+    import csv
+
+    from .generators import GenSpec
+
     if not args.input and not args.gen:
         raise UsageError("bench requires --input and/or --gen")
     seed = args.seed if args.seed is not None else default_seed()

@@ -113,17 +113,23 @@ class UncertainGraph:
         """External 1-based label of internal index u."""
         return self._labels[u]
 
+    def label_names(self) -> tuple[str, ...]:
+        """The label strings by internal index when the labels increase
+        with the index, else ().  Built on the first call, in the calling
+        process, and kept."""
+        if self._label_names is None:
+            lab = self._labels
+            ascending = all(map(operator.lt, lab, lab[1:]))
+            self._label_names = tuple(map(str, lab)) if ascending else ()
+        return self._label_names
+
     def label_text(self, vertices: Iterable[int]) -> str:
         """External labels of `vertices` (internal indices, ascending),
         in ascending order and joined by single spaces."""
+        names = self.label_names()
+        if names:  # ascending labels need no per-call sort
+            return " ".join([names[v] for v in vertices])
         lab = self._labels
-        if self._label_names is None:
-            # Labels that increase with the index keep their strings and
-            # need no per-call sort; any other labelling stores ().
-            ascending = all(map(operator.lt, lab, lab[1:]))
-            self._label_names = tuple(map(str, lab)) if ascending else ()
-        if self._label_names:
-            return " ".join([self._label_names[v] for v in vertices])
         return " ".join(map(str, sorted([lab[v] for v in vertices])))
 
     def index(self, label: int) -> int:

@@ -8,8 +8,10 @@ parent among them, claims roots from a counter in a shared ledger file,
 searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the
 ledger.  The cliques the kernel decides by its factor ceiling come in
-batches that share all but their last vertex (see algorithms._search),
-and format_batch writes the shared labels once per batch.  Once every
+batches that share all but their last vertex, several batches to a
+search frame (see algorithms._search); a worker joins each frame's
+labels once, and format_batch adds the last two labels of each clique
+from label strings built in the process that formats.  Once every
 worker has finished, the parent copies the segments into the output in
 claim order, which is root order, so the output is byte for byte that
 of a serial run.
@@ -142,23 +144,20 @@ def _fork(work, w: int) -> int:
         os._exit(status)
 
 
-def format_batch(g: UncertainGraph, c: tuple, q: float,
+def format_batch(g: UncertainGraph, head: str, c: tuple, u: int, q: float,
                  ext: list) -> list[str]:
     """The clique-stream lines (cli.format_clique's) of the cliques
-    c+(w,), with probability q*r, for (w, r) in ext.  c's labels are
-    joined once; a leaf whose label is above all of them (the last one
-    joined) is written after them, and any other is sorted in by
-    label_text."""
-    prefix = g.label_text(c)
-    top = int(prefix.rpartition(" ")[2])
-    lines = []
-    for w, r in ext:
-        name = g.label(w)
-        if name > top:
-            lines.append(f"{q * r:.17g} {prefix} {name}")
-        else:
-            lines.append(f"{q * r:.17g} " + g.label_text(c + (w,)))
-    return lines
+    c+(u, w), with probability q*r, for (w, r) in ext.  head is
+    g.label_text(c), which the caller joins once for all the batches of
+    one frame.  When g's labels ascend with the index, each line is head
+    followed by the label strings of u and w, taken from
+    g.label_names(); otherwise label_text sorts each clique's labels."""
+    names = g.label_names()
+    if names:
+        prefix = f"{head} {names[u]}"
+        return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
+    c2 = c + (u,)
+    return [f"{q * r:.17g} " + g.label_text(c2 + (w,)) for w, r in ext]
 
 
 def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
@@ -176,8 +175,13 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
         if len(lines) >= BUFFER_LINES:
             flush()
 
-    def emit(c, q, ext):
-        lines.extend(format_batch(g, c, q, ext))
+    frame = head = None  # the last batch's frame clique and its labels
+
+    def emit(c, u, q, ext):
+        nonlocal frame, head
+        if c is not frame:  # the frame's siblings share its clique tuple
+            frame, head = c, g.label_text(c)
+        lines.extend(format_batch(g, head, c, u, q, ext))
         if len(lines) >= BUFFER_LINES:
             flush()
 

@@ -218,11 +218,13 @@ def ba_graphs():
 
 
 def _alpha_sweep(fn, g, alphas, rounds):
-    """Best-of-rounds wall time and clique count per alpha.
+    """Best-of-rounds CPU time and clique count per alpha.
 
     The alphas are interleaved within each round, in alternating order,
     so that a slow spell of the host hits every alpha alike instead of
-    whichever one ran during it; the collector is off while timing.
+    whichever one ran during it; the collector is off while timing.  The
+    calls run serially in this process, so its CPU time (process_time)
+    measures them without the time other processes take from it.
     """
     pruned = [prune_by_alpha(g, alpha) for alpha in alphas]
     best = [math.inf] * len(alphas)
@@ -232,9 +234,9 @@ def _alpha_sweep(fn, g, alphas, rounds):
         for i in indices if r % 2 == 0 else indices[::-1]:
             gc.disable()
             try:
-                start = time.perf_counter()
+                start = time.process_time()
                 counts[i] = fn(pruned[i], alphas[i], lambda c: None)
-                elapsed = time.perf_counter() - start
+                elapsed = time.process_time() - start
             finally:
                 gc.enable()
             best[i] = min(best[i], elapsed)

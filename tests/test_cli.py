@@ -420,3 +420,19 @@ def test_commands_without_random_draws_run_without_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[0, 0, 0]", out.stderr
+
+
+def test_enumerate_import_leaves_out_generate_verify_and_bench_modules():
+    """umc.generators, umc.oracle, dataclasses and csv serve only generate,
+    bench, verify and --prob-model coauthor, which import them; importing
+    umc.cli adds none of them.  Only the modules the import itself adds
+    count, so one that interpreter start-up loads cannot fail the test."""
+    code = ("import sys; before = set(sys.modules); import umc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(umc.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    added = out.stdout.split()
+    assert "umc.cli" in added
+    for name in ("umc.generators", "umc.oracle", "dataclasses", "csv"):
+        assert name not in added, added
