@@ -125,8 +125,8 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     parallel path (umc.parallel) calls size_filter and the search kernel
     directly, and looks up only format_clique, for single cliques, and
     parallel.format_batch, for each of the kernel's batches, at call
-    time; the label text of a batch's frame is joined once, by
-    g.label_text, outside format_batch.
+    time; when the labels ascend, the label text of a batch's frame is
+    joined once, by g.label_text, outside format_batch.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)

@@ -72,9 +72,17 @@ def build_extremal_graph(n: int, alpha: float) -> UncertainGraph:
     """Complete graph on n (even) vertices whose alpha-maximal cliques are
     exactly the n/2-subsets, so enumeration yields C(n, n/2) cliques.
 
-    Every edge gets q with q^kappa = alpha, kappa = C(n/2, 2): an n/2-subset
-    has probability exactly alpha, and adding any vertex multiplies by at
-    least one more q < 1, dropping below alpha.
+    Every edge gets q = alpha^(1/(kappa + n/4)), kappa = C(n/2, 2).  An
+    n/2-subset has kappa edges, so its probability q^kappa lies above
+    alpha; any larger subset has at least kappa + n/2 edges, so its
+    probability lies below alpha.  The relative margins, above
+    (q^kappa/alpha - 1) and below (1 - q^(kappa + n/2)/alpha), are about
+    7.2% and 6.7% at n = 20, alpha = 0.5, and about 1% at alpha = 0.9.
+
+    A float product of k factors is within a relative k*2^-53 of the
+    exact one, in any order of multiplication.  Raises ValueError when
+    either margin is within 4*(kappa + n/2)*2^-53, where rounding could
+    decide a subset (alpha close enough to 1 for the given n).
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("extremal construction requires even n >= 4")
@@ -82,35 +90,17 @@ def build_extremal_graph(n: int, alpha: float) -> UncertainGraph:
         raise ValueError("extremal construction requires 0 < alpha < 1")
     half = n // 2
     kappa = math.comb(half, 2)
-    q = alpha ** (1.0 / kappa) if kappa > 1 else alpha
-    # The float root can land a hair low, making every n/2-subset product
-    # fall just under alpha and wrongly emptying the output.  Nudge q up by
-    # ULPs until both product orders used in this artifact clear alpha.
-    while _chain_product(q, kappa) < alpha or _incremental_product(q, half) < alpha:
-        q = math.nextafter(q, 1.0)
+    q = alpha ** (1.0 / (kappa + half / 2))
+    above = q ** kappa / alpha - 1.0
+    below = 1.0 - q ** (kappa + half) / alpha
+    band = 4 * (kappa + half) * 2.0 ** -53
+    if min(above, below) <= band:
+        raise ValueError(
+            f"alpha={alpha!r} leaves the extremal graph on {n} vertices a "
+            f"relative margin of {min(above, below):.2g}, within the "
+            f"rounding band {band:.2g}")
     edges = [(u, v, q) for u, v in combinations(range(n), 2)]
     return UncertainGraph(n, edges)
-
-
-def _chain_product(q: float, k: int) -> float:
-    """Left-to-right product of k copies of q (direct-formula order)."""
-    total = 1.0
-    for _ in range(k):
-        total *= q
-    return total
-
-
-def _incremental_product(q: float, size: int) -> float:
-    """Probability of a size-vertex clique as accumulated by the
-    incremental enumerator: the i-th vertex contributes a factor built by
-    multiplying its i-1 edge probabilities one at a time."""
-    total = 1.0
-    for i in range(size):
-        r = 1.0
-        for _ in range(i):
-            r *= q
-        total *= r
-    return total
 
 
 def estimate_clique_probability(g: UncertainGraph, c, samples: int,

@@ -9,12 +9,12 @@ searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the
 ledger.  The cliques the kernel decides by its factor ceiling come in
 batches that share all but their last vertex, several batches to a
-search frame (see algorithms._search); a worker joins each frame's
-labels once, and format_batch adds the last two labels of each clique
-from label strings built in the process that formats.  Once every
-worker has finished, the parent copies the segments into the output in
-claim order, which is root order, so the output is byte for byte that
-of a serial run.
+search frame (see algorithms._search); when the labels ascend with the
+index, a worker joins each frame's labels once, and format_batch adds the
+last two labels of each clique from label strings built in the process
+that formats.  Once every worker has finished, the parent copies the
+segments into the output in claim order, which is root order, so the
+output is byte for byte that of a serial run.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -151,7 +151,8 @@ def format_batch(g: UncertainGraph, head: str, c: tuple, u: int, q: float,
     g.label_text(c), which the caller joins once for all the batches of
     one frame.  When g's labels ascend with the index, each line is head
     followed by the label strings of u and w, taken from
-    g.label_names(); otherwise label_text sorts each clique's labels."""
+    g.label_names(); otherwise label_text sorts each clique's labels, and
+    head is not read (the caller may pass None)."""
     names = g.label_names()
     if names:
         prefix = f"{head} {names[u]}"
@@ -180,7 +181,9 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
     def emit(c, u, q, ext):
         nonlocal frame, head
         if c is not frame:  # the frame's siblings share its clique tuple
-            frame, head = c, g.label_text(c)
+            # format_batch reads head only when the labels ascend
+            frame = c
+            head = g.label_text(c) if g.label_names() else None
         lines.extend(format_batch(g, head, c, u, q, ext))
         if len(lines) >= BUFFER_LINES:
             flush()

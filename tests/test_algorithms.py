@@ -15,6 +15,7 @@ from umc.algorithms import (
     shared_neighborhood_filter,
     _filter,
 )
+from umc.cli import PROB_REL_TOL
 from umc.graph import UncertainGraph, load_graph, prune_by_alpha
 from umc.oracle import build_extremal_graph, brute_force_enumerate
 
@@ -181,7 +182,7 @@ class TestFrameFreeLeaves:
 
     def test_no_frame_is_pushed_for_a_leaf(self, monkeypatch):
         pushed = count_frames(monkeypatch)
-        # K6 at its extremal alpha: every edge has q = 0.5**(1/3).  A
+        # K6 at its extremal alpha: every edge has q = 0.5**(2/9).  A
         # 2-clique {u, w} (probability q) has the factor ceiling q*q, and
         # q * (q*q)**2 < 0.5, so its children, the 3-cliques, are decided
         # from its ext without a frame.  Frames go only to the roots 0..4.
@@ -357,8 +358,13 @@ class TestDfsNoip:
         assert set(collect(dfs_noip, g, 0.9)) == {(0,), (1,), (2,)}
 
     def test_matches_mule_on_extremal(self):
+        # dfs_noip multiplies row by row and mule incrementally, so the
+        # last bits of a probability can differ; verify allows as much.
         g = build_extremal_graph(8, 0.5)
-        assert collect(dfs_noip, g, 0.5) == collect(mule, g, 0.5)
+        noip, ours = collect(dfs_noip, g, 0.5), collect(mule, g, 0.5)
+        assert noip.keys() == ours.keys()
+        assert all(abs(noip[c] - p) <= PROB_REL_TOL * p
+                   for c, p in ours.items())
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -246,6 +246,18 @@ class TestGenerate:
                    "--alpha", "0.5", "--out", str(tmp_path / "x.txt")])
         assert rc == 2
 
+    def test_thin_extremal_margin_exits_2_and_writes_nothing(self, tmp_path,
+                                                             capsys):
+        # alpha = 1 - 2**-52 puts every edge at p = 1: one clique, not 20
+        out = tmp_path / "k6.txt"
+        rc = main(["generate", "--family", "extremal", "--n", "6",
+                   "--alpha", "0.9999999999999998", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "rounding band" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, spec", [
         (["--family", "ba", "--n", "60", "--m", "4", "--seed", "3"],
          GenSpec("ba", 60, m=4, seed=3)),

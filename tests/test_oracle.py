@@ -85,26 +85,31 @@ class TestExtremalGraph:
     def test_k4_single_edge_factor(self):
         g = build_extremal_graph(4, 0.5)
         assert g.num_edges == 6
-        assert g.edge_prob(0, 1) == pytest.approx(0.5)
+        # kappa = C(2, 2) = 1 and n/4 = 1, so q = alpha**(1/2)
+        assert g.edge_prob(0, 1) == 0.5 ** (1 / 2)
 
     def test_k6_cube_root(self):
         g = build_extremal_graph(6, 0.5)
-        # 3-subsets have C(3,2)=3 internal edges, so each edge carries the
-        # cube root of the threshold
-        assert g.edge_prob(0, 1) == pytest.approx(0.5 ** (1 / 3), rel=1e-12)
+        # 3-subsets have kappa = C(3,2) = 3 internal edges and n/4 = 1.5,
+        # so each edge carries alpha**(1/4.5)
+        assert g.edge_prob(0, 1) == 0.5 ** (1 / 4.5)
 
     def test_half_size_subsets_clear_threshold(self):
-        for n in (4, 6, 8, 10, 12):
+        # A float product of k factors lies within k * 2**-53 of the exact
+        # one in relative terms: both margins stay well outside that band.
+        for n in (4, 6, 8, 10, 12, 14, 16, 18, 20):
+            kappa = math.comb(n // 2, 2)
+            band = (kappa + n // 2) * 2.0 ** -53
             for alpha in (0.3, 0.5, 0.9):
-                g = build_extremal_graph(n, alpha)
-                q = g.edge_prob(0, 1)
-                prod = 1.0
-                for _ in range(math.comb(n // 2, 2)):
-                    prod *= q
-                assert prod >= alpha
-                assert prod == pytest.approx(alpha, rel=1e-9)
+                q = build_extremal_graph(n, alpha).edge_prob(0, 1)
+                assert q == alpha ** (1 / (kappa + n / 4))
+                assert q ** kappa / alpha - 1 > 4 * band, (n, alpha)
+                assert 1 - q ** (kappa + n // 2) / alpha > 4 * band, (n, alpha)
 
-    @pytest.mark.parametrize("n,alpha", [(3, 0.5), (5, 0.5), (4, 1.0), (4, 0.0)])
+    # the last two leave a margin to alpha inside the rounding band
+    @pytest.mark.parametrize("n,alpha", [(3, 0.5), (5, 0.5), (4, 1.0), (4, 0.0),
+                                         (6, 1 - 2 ** -52),
+                                         (18, 0.99999999999999)])
     def test_rejects_bad_parameters(self, n, alpha):
         with pytest.raises(ValueError):
             build_extremal_graph(n, alpha)
