@@ -125,8 +125,8 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     parallel path (umc.parallel) calls size_filter and the search kernel
     directly, and looks up only format_clique, for single cliques, and
     parallel.format_batch, for each of the kernel's batches, at call
-    time; when the labels ascend, the label text of a batch's frame is
-    joined once, by g.label_text, outside format_batch.
+    time; the label text of a batch's frame is joined once, by
+    g.label_text, outside format_batch.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)
@@ -158,18 +158,10 @@ def cmd_enumerate(args) -> int:
     out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
     if out is None:  # the interpreter started with file descriptor 1 closed
         raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
-    workers = (parallel.available_workers(out)
-               if args.algo == "mule" and not args.canonical else 1)
+    workers = parallel.available_workers(out) if args.algo == "mule" else 1
     try:
         try:
-            if args.canonical:
-                emitted: list[Clique] = []
-                count, ms = _run_enumeration(g, args.algo, alpha,
-                                             args.min_size, emitted.append)
-                emitted.sort(key=lambda c: (tuple(sorted(g.label(v) for v in c.vertices))))
-                for c in emitted:
-                    out.write(format_clique(g, c) + "\n")
-            elif workers > 1:
+            if workers > 1:
                 count, ms = parallel.enumerate_into(
                     out, g, alpha, args.min_size,
                     lambda c: format_clique(g, c), workers)
@@ -243,7 +235,7 @@ def cmd_verify(args) -> int:
     failures = 0
     seen: set[tuple[int, ...]] = set()
     for line_no, prob, verts in _parse_clique_file(g, args.cliques):
-        names = sorted(g.label(v) for v in verts)
+        names = [g.label(v) for v in verts]
         if verts in seen:
             print(f"DUPLICATE line {line_no}: {names}")
             failures += 1
@@ -261,10 +253,10 @@ def cmd_verify(args) -> int:
     if args.complete:
         expected = brute_force_enumerate(g, alpha).vertex_sets()
         for verts in sorted(expected - seen):
-            print(f"MISSING: {sorted(g.label(v) for v in verts)}")
+            print(f"MISSING: {[g.label(v) for v in verts]}")
             failures += 1
         for verts in sorted(seen - expected):
-            print(f"EXTRA: {sorted(g.label(v) for v in verts)}")
+            print(f"EXTRA: {[g.label(v) for v in verts]}")
             failures += 1
     if failures:
         print(f"verification failed: {failures} violation(s)", file=sys.stderr)
@@ -367,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--alpha", type=number, required=True)
     p_enum.add_argument("--algo", choices=ALGOS, default="mule")
     p_enum.add_argument("--min-size", type=integer, default=1)
-    p_enum.add_argument("--canonical", action="store_true",
-                        help="sort output lexicographically")
     p_enum.add_argument("--prob-model", choices=["prob", "coauthor"],
                         default="prob")
     p_enum.add_argument("--out")

@@ -1,10 +1,11 @@
 """Uncertain graph data model: simple undirected graphs with a per-edge
 existence probability in (0, 1].
 
-Vertices are dense internal indices 0..n-1.  External 1-based labels are
-kept only for I/O; the total order that drives the enumeration ("add
-vertices in increasing order") is the internal index order, assigned by
-first appearance in the input file.
+Vertices are dense internal indices 0..n-1.  External positive integer
+labels are kept only for I/O.  The total order that drives the
+enumeration ("add vertices in increasing order") is the internal index
+order, and that is ascending label order for every graph, so a clique's
+vertices and its labels sort alike.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ class UncertainGraph:
 
     The constructor is the one place that enforces the graph rules: each
     endpoint in 0..n-1, no self-loop, p in (0, 1] and no edge given twice.
-    Its ValueError messages name the external labels.
+    Its ValueError messages name the external labels, which must strictly
+    ascend with the index (default 1..n); they are never re-sorted, as that
+    would renumber the caller's vertices.
     """
 
     __slots__ = ("n", "num_edges", "_rows", "_labels", "_index",
@@ -62,8 +65,10 @@ class UncertainGraph:
             lab = tuple(range(1, n + 1))
         else:
             lab = tuple(labels)
-            if len(lab) != n or len(set(lab)) != n:
-                raise ValueError("labels must be a bijection onto the vertices")
+            if len(lab) != n:
+                raise ValueError(f"{len(lab)} labels for {n} vertices")
+            if not all(map(operator.lt, lab, lab[1:])):
+                raise ValueError("labels must strictly ascend")
         # One int object per vertex, shared by every row that holds it as
         # a key (and by the label index), not one per edge end.
         ids = list(range(n))
@@ -114,23 +119,17 @@ class UncertainGraph:
         return self._labels[u]
 
     def label_names(self) -> tuple[str, ...]:
-        """The label strings by internal index when the labels increase
-        with the index, else ().  Built on the first call, in the calling
-        process, and kept."""
+        """The label strings by internal index.  Built on the first call,
+        in the calling process, and kept."""
         if self._label_names is None:
-            lab = self._labels
-            ascending = all(map(operator.lt, lab, lab[1:]))
-            self._label_names = tuple(map(str, lab)) if ascending else ()
+            self._label_names = tuple(map(str, self._labels))
         return self._label_names
 
     def label_text(self, vertices: Iterable[int]) -> str:
         """External labels of `vertices` (internal indices, ascending),
-        in ascending order and joined by single spaces."""
+        which therefore ascend too, joined by single spaces."""
         names = self.label_names()
-        if names:  # ascending labels need no per-call sort
-            return " ".join([names[v] for v in vertices])
-        lab = self._labels
-        return " ".join(map(str, sorted([lab[v] for v in vertices])))
+        return " ".join([names[v] for v in vertices])
 
     def index(self, label: int) -> int:
         """Internal index of an external label; KeyError if unknown."""
@@ -151,7 +150,8 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     '#' starts a comment; an optional leading header "n <count>" declares
     the vertex count (and thereby isolated vertices), in which case labels
     must lie in 1..count.  Without a header, vertices are the union of the
-    endpoints and internal indices follow first-appearance order.
+    endpoints.  Either way internal indices follow ascending label order,
+    whatever order the lines and endpoints come in.
 
     prob_parser maps the third token to a probability (default: float);
     pass generators.coauthor_prob_parser to ingest "u v c" weighted lists.
@@ -162,8 +162,9 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     """
     header_n: int | None = None
     label_order: dict[int, int] = {}
-    # The parsed edges, unboxed: endpoints (internal indices, within a
-    # header count of at most sys.maxsize), probabilities and line numbers.
+    # The parsed edges, unboxed: endpoints (internal indices, or without a
+    # header first-appearance indices until the labels are all known),
+    # probabilities and line numbers.
     us, vs, ps, edge_lines = array("q"), array("q"), array("d"), array("q")
 
     def intern(ext: int, line_no: int) -> int:
@@ -215,9 +216,16 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         ps.append(p)
         edge_lines.append(line_no)
 
-    n = header_n if header_n is not None else len(label_order)
-    labels = None if header_n is not None else tuple(label_order)
-    rest = zip(us, vs, ps)
+    if header_n is None:
+        n = len(label_order)
+        labels = sorted(label_order)
+        rank = [0] * n  # first-appearance index -> internal index
+        for r, ext in enumerate(labels):
+            rank[label_order[ext]] = r
+        rest = zip(map(rank.__getitem__, us), map(rank.__getitem__, vs), ps)
+    else:
+        n, labels = header_n, None
+        rest = zip(us, vs, ps)
     try:
         return UncertainGraph(n, rest, labels)
     except ValueError as exc:
@@ -251,8 +259,8 @@ def dump_graph(g: UncertainGraph, out: TextIO) -> None:
     load_graph (probabilities printed with 17 significant digits).
 
     The header (which preserves isolated vertices) is emitted only when
-    the labels are exactly 1..n; arbitrary-label graphs are written as
-    bare edges in first-appearance order.
+    the labels are exactly 1..n; other graphs are written as bare edges.
+    Either way the edges come in ascending label order.
     """
     canonical = all(g.label(u) == u + 1 for u in range(g.n))
     if canonical:

@@ -9,12 +9,12 @@ searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the
 ledger.  The cliques the kernel decides by its factor ceiling come in
 batches that share all but their last vertex, several batches to a
-search frame (see algorithms._search); when the labels ascend with the
-index, a worker joins each frame's labels once, and format_batch adds the
-last two labels of each clique from label strings built in the process
-that formats.  Once every worker has finished, the parent copies the
-segments into the output in claim order, which is root order, so the
-output is byte for byte that of a serial run.
+search frame (see algorithms._search).  Labels ascend with the index
+(see umc.graph), so a worker joins each frame's labels once, and
+format_batch adds the last two labels of each clique from label strings
+built in the process that formats.  Once every worker has finished, the
+parent copies the segments into the output in claim order, which is root
+order, so the output is byte for byte that of a serial run.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -144,21 +144,16 @@ def _fork(work, w: int) -> int:
         os._exit(status)
 
 
-def format_batch(g: UncertainGraph, head: str, c: tuple, u: int, q: float,
+def format_batch(g: UncertainGraph, head: str, u: int, q: float,
                  ext: list) -> list[str]:
     """The clique-stream lines (cli.format_clique's) of the cliques
     c+(u, w), with probability q*r, for (w, r) in ext.  head is
     g.label_text(c), which the caller joins once for all the batches of
-    one frame.  When g's labels ascend with the index, each line is head
-    followed by the label strings of u and w, taken from
-    g.label_names(); otherwise label_text sorts each clique's labels, and
-    head is not read (the caller may pass None)."""
+    one frame; each line is head followed by the label strings of u and
+    w, taken from g.label_names()."""
     names = g.label_names()
-    if names:
-        prefix = f"{head} {names[u]}"
-        return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
-    c2 = c + (u,)
-    return [f"{q * r:.17g} " + g.label_text(c2 + (w,)) for w, r in ext]
+    prefix = f"{head} {names[u]}"
+    return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
 
 
 def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
@@ -181,10 +176,9 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
     def emit(c, u, q, ext):
         nonlocal frame, head
         if c is not frame:  # the frame's siblings share its clique tuple
-            # format_batch reads head only when the labels ascend
             frame = c
-            head = g.label_text(c) if g.label_names() else None
-        lines.extend(format_batch(g, head, c, u, q, ext))
+            head = g.label_text(c)
+        lines.extend(format_batch(g, head, u, q, ext))
         if len(lines) >= BUFFER_LINES:
             flush()
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -44,23 +45,26 @@ class TestEnumerate:
         assert "cliques=2" in summary
 
     @pytest.mark.parametrize("min_size", ["1", "3"])
-    @pytest.mark.parametrize("canonical", [[], ["--canonical"]],
-                             ids=["streaming", "canonical"])
+    # capsys's stdout has no descriptor, so mule writes it serially
+    @pytest.mark.parametrize("target", ["--out", "stdout"],
+                             ids=["streaming", "stdout"])
     @pytest.mark.parametrize("algo", ["mule", "dfs-noip"])
     def test_summary_matches_line_count(self, tmp_path, capsys,
-                                        algo, canonical, min_size):
+                                        algo, target, min_size):
         # a triangle {1, 2, 3} with a pendant edge {3, 4}: one maximal
         # clique on each side of --min-size 3
         f = tmp_path / "paw.txt"
         f.write_text("1 2 0.9\n2 3 0.9\n1 3 0.9\n3 4 0.9\n")
         out = tmp_path / "c.txt"
+        where = ["--out", str(out)] if target == "--out" else []
         rc = main(["enumerate", "--input", str(f), "--alpha", "0.5",
-                   "--algo", algo, "--min-size", min_size, *canonical,
-                   "--out", str(out)])
+                   "--algo", algo, "--min-size", min_size, *where])
         assert rc == 0
-        n_lines = len(out.read_text().splitlines())
+        captured = capsys.readouterr()
+        n_lines = len((out.read_text() if where else captured.out)
+                      .splitlines())
         assert n_lines == (2 if min_size == "1" else 1)
-        assert f"cliques={n_lines} " in capsys.readouterr().err
+        assert f"cliques={n_lines} " in captured.err
 
     @pytest.mark.parametrize("algo, min_size, prunes", [
         ("mule", "1", 0), ("mule", "3", 0), ("dfs-noip", "1", 1)])
@@ -97,14 +101,24 @@ class TestEnumerate:
         assert "line 1" in capsys.readouterr().err
 
     def test_canonical_order_sorted(self, tmp_path):
+        # an ER graph written headerless under shuffled labels: the
+        # default stream of either algorithm is sorted by label tuple
+        g = GenSpec("er", 24, density=0.4, seed=3).build()
+        perm = list(range(1, g.n + 1))
+        random.Random(5).shuffle(perm)
         f = tmp_path / "g.txt"
-        f.write_text("5 2 0.9\n2 1 0.8\n")
-        out = tmp_path / "c.txt"
-        main(["enumerate", "--input", str(f), "--alpha", "0.75",
-              "--canonical", "--out", str(out)])
-        lines = [tuple(int(x) for x in ln.split()[1:])
-                 for ln in out.read_text().splitlines()]
-        assert lines == sorted(lines)
+        f.write_text("".join(f"{perm[u]} {perm[v]} {p!r}\n"
+                             for u, v, p in g.edges()))
+        streams = []
+        for algo in ("mule", "dfs-noip"):
+            out = tmp_path / f"{algo}.txt"
+            assert main(["enumerate", "--input", str(f), "--alpha", "0.05",
+                         "--algo", algo, "--out", str(out)]) == 0
+            lines = [tuple(int(x) for x in ln.split()[1:])
+                     for ln in out.read_text().splitlines()]
+            assert len(lines) > 1 and lines == sorted(lines)
+            streams.append(lines)
+        assert streams[0] == streams[1]
 
     def test_dfs_noip_agrees(self, path_graph, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import umc
 from umc.graph import (
@@ -64,10 +66,32 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="exceeds"):
             parse("n 2\n1 3 0.9\n")
 
-    def test_first_appearance_order(self):
+    def test_vertices_indexed_by_ascending_label(self):
         g = parse("7 3 0.5\n3 2 0.5\n")
-        assert [g.label(i) for i in range(g.n)] == [7, 3, 2]
-        assert g.index(7) == 0
+        assert [g.label(i) for i in range(g.n)] == [2, 3, 7]
+        assert g.index(7) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**20), st.integers(1, 10**20),
+                              st.floats(0.01, 1.0))
+                    .filter(lambda e: e[0] != e[1]),
+                    min_size=1, max_size=20,
+                    unique_by=lambda e: frozenset(e[:2])),
+           st.randoms(use_true_random=False))
+    def test_headerless_order_ignores_line_and_endpoint_order(self, edges,
+                                                              rng):
+        def text(es):
+            return "".join(f"{u} {v} {p!r}\n" for u, v, p in es)
+        g = parse(text(edges))
+        moved = [(v, u, p) if rng.random() < 0.5 else (u, v, p)
+                 for u, v, p in edges]
+        rng.shuffle(moved)
+        h = parse(text(moved))
+        labels = [g.label(i) for i in range(g.n)]
+        assert labels == sorted(set(labels))
+        assert [h.label(i) for i in range(h.n)] == labels
+        assert ([list(h.row(u).items()) for u in range(h.n)]
+                == [list(g.row(u).items()) for u in range(g.n)])
 
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError, match="line 1"):
@@ -169,12 +193,13 @@ class TestUncertainGraph:
             assert g.num_edges == len(edges)
 
     def test_rows_ascending_for_first_appearance_input(self):
-        # internal order 0..4 is labels 9, 4, 7, 1, 2: edges arrive far
-        # from ascending internal order
+        # labels first appear as 9, 4, 7, 1, 2, but internal order 0..4 is
+        # labels 1, 2, 4, 7, 9: edges arrive far from ascending order
         g = parse("9 4 0.5\n7 1 0.6\n1 9 0.7\n2 4 0.8\n2 9 0.9\n7 9 0.4\n")
-        assert [g.label(i) for i in range(g.n)] == [9, 4, 7, 1, 2]
+        assert [g.label(i) for i in range(g.n)] == [1, 2, 4, 7, 9]
         assert_rows_ascending_and_symmetric(g)
-        assert g.row(0) == {1: 0.5, 2: 0.4, 3: 0.7, 4: 0.9}
+        assert list(g.row(4).items()) == [(0, 0.7), (1, 0.9), (2, 0.5),
+                                          (3, 0.4)]
         assert list(g.edges()) == sorted(g.edges())
 
     def test_reverse_duplicate_rejected(self):
@@ -203,6 +228,12 @@ class TestUncertainGraph:
         with pytest.raises(ValueError) as info:
             UncertainGraph(2, [(0, 0, 0.5)], labels=(7, 9))
         assert str(info.value) == "self-loop at vertex 7"
+
+    @pytest.mark.parametrize("labels", [(2, 1, 3), (1, 1, 3), (1, 2)])
+    def test_labels_must_strictly_ascend(self, labels):
+        # sorting them would renumber the caller's vertices
+        with pytest.raises(ValueError):
+            UncertainGraph(3, [], labels=labels)
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

@@ -51,10 +51,15 @@ def parallel_bytes(g, alpha, t, workers=WORKERS):
         return count, os.pread(fd, os.fstat(fd).st_size, 0)
 
 
+def gapped_labels(n):
+    """n distinct positive labels, ascending, not necessarily 1..n."""
+    return st.sets(st.integers(1, 1000), min_size=n, max_size=n).map(sorted)
+
+
 @st.composite
 def graphs_with_isolated_vertices(draw):
-    """Up to 12 vertices, some of them isolated, under shuffled labels (so
-    label_text takes its per-clique sort path too)."""
+    """Up to 12 vertices, some of them isolated, under ascending labels
+    with gaps (so labels other than 1..n and of mixed widths are covered)."""
     n = draw(st.integers(min_value=1, max_value=12))
     edges = []
     for u in range(n):
@@ -62,8 +67,7 @@ def graphs_with_isolated_vertices(draw):
             if draw(st.integers(0, 2)) == 0:
                 p = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9, 1.0]))
                 edges.append((u, v, p))
-    labels = draw(st.permutations(range(1, n + 1)))
-    return UncertainGraph(n, edges, labels)
+    return UncertainGraph(n, edges, draw(gapped_labels(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,7 +79,8 @@ def test_parallel_bytes_equal_serial_bytes(g, alpha, t):
 
 @st.composite
 def ceiling_graphs(draw):
-    """4 to 10 vertices, some of them isolated, under shuffled labels.
+    """4 to 10 vertices, some of them isolated, under ascending labels
+    with gaps.
     The edges share one or two probabilities below 1 and alpha is the
     cube or a higher power of one of them, so many cliques of 3 to 5
     vertices sit at alpha and the kernel decides them by its factor
@@ -87,13 +92,12 @@ def ceiling_graphs(draw):
     edges = [(u, v, draw(st.sampled_from(probs)))
              for u, v in combinations(range(n), 2)
              if not isolated & {u, v} and draw(st.integers(0, 5))]
-    labels = draw(st.permutations(range(1, n + 1)))
     alpha = draw(st.sampled_from(probs)) ** draw(st.integers(3, 6))
-    return UncertainGraph(n, edges, labels), alpha
+    return UncertainGraph(n, edges, draw(gapped_labels(n))), alpha
 
 
 def lazy_scan_case(p_03):
-    """Vertices 0..4 (internal indices, under labels that do not ascend):
+    """Vertices 0..4 (internal indices, under labels 2, 3, 5, 8, 13):
     0-1, 0-2, 1-2, 1-3, 2-3, 1-4 and 2-4 at 0.9, and 0-3 at p_03.  Root
     1's child {1,2} has the candidates 3 and 4, so it is pushed with a
     lazy exclusion list, and its leaf {1,2,3} is decided by the scan of
@@ -101,7 +105,7 @@ def lazy_scan_case(p_03):
     {0,1,2,3} is at or above alpha = 0.5 and none when it is below."""
     edges = [(0, 1, 0.9), (0, 2, 0.9), (0, 3, p_03), (1, 2, 0.9),
              (1, 3, 0.9), (1, 4, 0.9), (2, 3, 0.9), (2, 4, 0.9)]
-    return UncertainGraph(5, edges, [3, 1, 5, 2, 4]), 0.5
+    return UncertainGraph(5, edges, [2, 3, 5, 8, 13]), 0.5
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,11 +207,32 @@ def test_capsys_stdout_takes_serial_path(k12, forks, capsys):
     assert capsys.readouterr().out.encode() == serial_bytes(g, 0.5, 1)[1]
 
 
-@pytest.mark.parametrize("flags", [["--canonical"], ["--algo", "dfs-noip"]])
-def test_serial_only_options(k12, forks, tmp_path, flags):
+@pytest.mark.parametrize("flags, target", [
+    ([], "--out"), ([], "stdout"), (["--algo", "dfs-noip"], "--out"),
+    (["--min-size", "2"], "--out")],
+    ids=["parallel", "capsys", "dfs-noip", "min-size-2"])
+def test_headerless_stream_sorted_by_label_tuple(tmp_path, monkeypatch, forks,
+                                                 capsys, flags, target):
+    # labels first appear as 5, 2, 1; the stream lists {1, 2} first on
+    # every path
+    inp = tmp_path / "g.txt"
+    inp.write_text("5 2 0.9\n2 1 0.8\n")
+    out = tmp_path / "c.txt"
+    where = ["--out", str(out)] if target == "--out" else []
+    if where:  # two workers, one per search root, whatever the CPU count
+        monkeypatch.setattr(parallel, "available_workers", lambda _: 2)
+    assert cli.main(["enumerate", "--input", str(inp), "--alpha", "0.75",
+                     *flags, *where]) == 0
+    text = out.read_text() if where else capsys.readouterr().out
+    assert [ln.split()[1:] for ln in text.splitlines()] == [["1", "2"],
+                                                          ["2", "5"]]
+    assert len(forks) == (0 if "dfs-noip" in flags or not where else 1)
+
+
+def test_serial_only_options(k12, forks, tmp_path):
     out = tmp_path / "c.txt"
     assert cli.main(["enumerate", "--input", str(k12), "--alpha", "0.5",
-                     "--out", str(out), *flags]) == 0
+                     "--out", str(out), "--algo", "dfs-noip"]) == 0
     assert forks == []
     assert out.read_bytes().count(b"\n") == 924  # C(12, 6)
 
@@ -362,8 +387,10 @@ def assert_clean(stderr):
         assert text not in stderr
 
 
-@pytest.mark.parametrize("flags", [[], ["--canonical"]],
-                         ids=["default", "canonical"])
+# dfs-noip writes on the serial path, whose write errors are the plain
+# OSErrors of out.write and out.flush.
+@pytest.mark.parametrize("flags", [[], ["--algo", "dfs-noip"]],
+                         ids=["default", "serial"])
 @pytest.mark.parametrize("size", ["k16", "two-lines"])
 def test_reader_closing_the_pipe_early_ends_the_run_quietly(outputs, flags,
                                                            size):
@@ -388,8 +415,8 @@ def test_reader_closing_the_pipe_early_ends_the_run_quietly(outputs, flags,
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full, a device that is always full")
-@pytest.mark.parametrize("flags", [[], ["--canonical"]],
-                         ids=["default", "canonical"])
+@pytest.mark.parametrize("flags", [[], ["--algo", "dfs-noip"]],
+                         ids=["default", "serial"])
 @pytest.mark.parametrize("target", ["--out", "stdout"])
 @pytest.mark.parametrize("size", ["k16", "two-lines"])
 def test_full_output_is_one_error_line(outputs, flags, target, size):
@@ -405,8 +432,8 @@ def test_full_output_is_one_error_line(outputs, flags, target, size):
     assert_clean(proc.stderr)
 
 
-@pytest.mark.parametrize("flags", [[], ["--canonical"]],
-                         ids=["default", "canonical"])
+@pytest.mark.parametrize("flags", [[], ["--algo", "dfs-noip"]],
+                         ids=["default", "serial"])
 def test_closed_stdout_is_one_error_line(outputs, flags):
     # The interpreter sets sys.stdout to None when it starts with file
     # descriptor 1 closed.
