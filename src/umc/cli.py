@@ -328,7 +328,7 @@ def cmd_bench(args) -> int:
         try:
             spec = GenSpec.parse(spec_text)
             if "seed=" not in spec_text:
-                spec = GenSpec(**{**spec.__dict__, "seed": seed})
+                spec = spec._replace(seed=seed)
             graphs.append((spec.label(), spec.build(), spec.seed))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad generator spec {spec_text!r}: {exc}")

@@ -2,20 +2,25 @@
 
 All generators are pure functions of their parameters and seed (numpy
 PCG64), so serialized output is byte-identical across runs and platforms.
+
+The draws are batched, and a batch yields the values that the same number
+of single draws would, so files match those of earlier versions byte for
+byte: a Barabasi-Albert vertex draws its m targets in one sized call, and
+single draws with the same bound follow only when repeats leave fewer than
+m distinct targets; Erdos-Renyi draws one row of pairs per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import UncertainGraph, number
 from .oracle import build_extremal_graph
 
 
-@dataclass(frozen=True)
-class DeterministicGraph:
+class DeterministicGraph(NamedTuple):
     """Structure-only intermediate: n vertices, edges as (u, v) with u < v."""
 
     n: int
@@ -43,9 +48,11 @@ def gen_barabasi_albert(n: int, m_per_vertex: int, seed: int) -> DeterministicGr
     # with probability proportional to its degree.
     slots: list[int] = [u for e in edges for u in e]
     for v in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(slots[int(rng.integers(0, len(slots)))])
+        k = len(slots)
+        draws = rng.integers(0, k, size=m).tolist()
+        targets = set(map(slots.__getitem__, draws))
+        while len(targets) < m:  # a repeat among the m draws
+            targets.add(slots[int(rng.integers(0, k))])
         for u in sorted(targets):
             edges.append((u, v))
             slots.append(u)
@@ -59,9 +66,14 @@ def gen_erdos_renyi(n: int, density: float, seed: int) -> DeterministicGraph:
         raise ValueError("density must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = list(combinations(range(n), 2))
-    mask = _rng(seed).random(len(pairs)) < density
-    return DeterministicGraph(n, tuple(p for p, keep in zip(pairs, mask) if keep))
+    rng = _rng(seed)
+    edges: list[tuple[int, int]] = []
+    # Row u holds the pairs (u, u+1) .. (u, n-1), in the order of the pairs
+    # of combinations(range(n), 2); only the hits are kept.
+    for u in range(n - 1):
+        hits = (rng.random(n - 1 - u) < density).nonzero()[0] + (u + 1)
+        edges.extend((u, v) for v in hits.tolist())
+    return DeterministicGraph(n, tuple(edges))
 
 
 def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainGraph:
@@ -103,10 +115,10 @@ def coauthor_prob_parser(token: str) -> float:
     return coauthor_probability(int(digits))
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """One generator invocation, parseable from 'family:key=val,...'
-    (e.g. 'ba:n=2000,m=10,seed=1' or 'er:n=12,density=0.5')."""
+    (e.g. 'ba:n=2000,m=10,seed=1' or 'er:n=12,density=0.5').  build()
+    raises ValueError for an unknown family or n < 1."""
 
     family: str
     n: int
@@ -118,12 +130,6 @@ class GenSpec:
     _FAMILIES = ("ba", "er", "extremal")
     _INT_KEYS = ("n", "m", "seed")
     _FLOAT_KEYS = ("density", "alpha")
-
-    def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
     @classmethod
     def parse(cls, text: str) -> "GenSpec":
@@ -149,6 +155,10 @@ class GenSpec:
         return f"extremal{self.n}-a{self.alpha}"
 
     def build(self) -> UncertainGraph:
+        if self.family not in self._FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.family == "extremal":
             return build_extremal_graph(self.n, self.alpha)
         if self.family == "ba":

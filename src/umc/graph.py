@@ -262,11 +262,11 @@ def dump_graph(g: UncertainGraph, out: TextIO) -> None:
     the labels are exactly 1..n; other graphs are written as bare edges.
     Either way the edges come in ascending label order.
     """
-    canonical = all(g.label(u) == u + 1 for u in range(g.n))
-    if canonical:
+    if all(g.label(u) == u + 1 for u in range(g.n)):
         out.write(f"n {g.n}\n")
-    for u, v, p in g.edges():
-        out.write(f"{g.label(u)} {g.label(v)} {p:.17g}\n")
+    names = g.label_names()
+    out.writelines(f"{names[u]} {names[v]} {p:.17g}\n"
+                   for u in range(g.n) for v, p in g.row(u).items() if v > u)
 
 
 def prune_by_alpha(g: UncertainGraph, alpha: float) -> UncertainGraph:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import (
     UncertainGraph,
@@ -24,8 +24,7 @@ from .graph import (
 BRUTE_FORCE_MAX_N = 25
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Canonically sorted (vertex tuple, probability) pairs.
 
     The collection is non-redundant: no member contains another.

@@ -316,6 +316,21 @@ class TestBench:
                    "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_spec_without_seed_takes_the_bench_seed(self, tmp_path):
+        rows = {}
+        for name, argv in (("given", ["--gen", "er:n=14,density=0.6,seed=4"]),
+                           ("default", ["--gen", "er:n=14,density=0.6",
+                                        "--seed", "4"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["bench", *argv, "--alphas", "0.3,0.6",
+                         "--csv", str(out)]) == 0
+            with open(out) as fh:
+                rows[name] = [{k: v for k, v in r.items() if k != "ms"}
+                              for r in csv.DictReader(fh)]
+        assert rows["default"] == rows["given"]
+        assert [r["graph"] for r in rows["given"]] == ["er14-d0.6-s4"] * 2
+        assert {r["seed"] for r in rows["given"]} == {"4"}
+
 
 @pytest.mark.parametrize("umc_seed, argv, message", [
     ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
@@ -336,6 +351,14 @@ class TestBench:
      "unknown algorithm 'large-mule'"),
     ("0", ["bench", "--gen", "extremal:n=7,alpha=0.5", "--alphas", "0.5",
            "--csv", "{tmp}/b.csv"], "bad generator spec"),
+    ("0", ["bench", "--gen", "xx:n=5", "--alphas", "0.5",
+           "--csv", "{tmp}/b.csv"],
+     "bad generator spec 'xx:n=5': unknown family 'xx'"),
+    ("0", ["bench", "--gen", "ba:n=0", "--alphas", "0.5",
+           "--csv", "{tmp}/b.csv"],
+     "bad generator spec 'ba:n=0': n must be >= 1"),
+    ("0", ["generate", "--family", "er", "--n", "0", "--out", "{tmp}/g.txt"],
+     "error: n must be >= 1"),
     ("x", ["generate", "--family", "ba", "--n", "20", "--m", "2",
            "--out", "{tmp}/g.txt"], "UMC_SEED must be an integer"),
     ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
@@ -391,7 +414,8 @@ class TestBench:
      "got -999"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
-        "bench-gen-odd-extremal", "generate-umc-seed",
+        "bench-gen-odd-extremal", "bench-gen-unknown-family", "bench-gen-n-0",
+        "generate-n-0", "generate-umc-seed",
         "verify-repeated-vertex", "verify-unknown-vertex",
         "enumerate-coauthor-count", "enumerate-underscore", "enumerate-plus",
         "enumerate-coauthor-plus", "verify-underscore", "verify-plus",
@@ -449,9 +473,9 @@ def test_commands_without_random_draws_run_without_numpy(tmp_path):
 
 
 def test_enumerate_import_leaves_out_generate_verify_and_bench_modules():
-    """umc.generators, umc.oracle, dataclasses and csv serve only generate,
-    bench, verify and --prob-model coauthor, which import them; importing
-    umc.cli adds none of them.  Only the modules the import itself adds
+    """umc.generators, umc.oracle and csv serve only generate, bench,
+    verify and --prob-model coauthor, which import them; importing umc.cli
+    adds none of them, nor dataclasses.  Only the modules the import adds
     count, so one that interpreter start-up loads cannot fail the test."""
     code = ("import sys; before = set(sys.modules); import umc.cli; "
             "print(*sorted(set(sys.modules) - before))")
@@ -461,4 +485,23 @@ def test_enumerate_import_leaves_out_generate_verify_and_bench_modules():
     added = out.stdout.split()
     assert "umc.cli" in added
     for name in ("umc.generators", "umc.oracle", "dataclasses", "csv"):
+        assert name not in added, added
+
+
+def test_extremal_generate_imports_neither_numpy_nor_dataclasses(tmp_path):
+    """The extremal family draws no random number, and no generator type is
+    a dataclass, so `umc generate --family extremal` loads neither numpy nor
+    dataclasses (which loads inspect).  As above, only the modules the
+    command adds count."""
+    argv = ["generate", "--family", "extremal", "--n", "8", "--alpha", "0.5",
+            "--out", str(tmp_path / "k8.txt")]
+    code = ("import sys; before = set(sys.modules); from umc.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, *sorted(set(sys.modules) - before))")
+    src = str(Path(umc.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    rc, *added = out.stdout.split()
+    assert rc == "0" and "umc.generators" in added, out.stdout
+    for name in ("numpy", "dataclasses"):
         assert name not in added, added

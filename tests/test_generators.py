@@ -1,6 +1,9 @@
-"""Generator tests: statistical shape, determinism, validation."""
+"""Generator tests: statistical shape, determinism, validation, and the
+batched draws against one-value-per-call references."""
 
+import io
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +16,43 @@ from umc.generators import (
     gen_barabasi_albert,
     gen_erdos_renyi,
 )
+from umc.graph import UncertainGraph, dump_graph
+
+
+def reference_barabasi_albert(n, m, seed):
+    """The generator with one scalar draw per call.  Returns the edges and
+    the number of vertices whose first m draws held a repeat."""
+    rng = np.random.default_rng(seed)
+    edges = list(combinations(range(m + 1), 2))
+    slots = [u for e in edges for u in e]
+    repeats = 0
+    for v in range(m + 1, n):
+        targets = set()
+        draws = 0
+        while len(targets) < m:
+            targets.add(slots[int(rng.integers(0, len(slots)))])
+            draws += 1
+        repeats += draws > m
+        for u in sorted(targets):
+            edges.append((u, v))
+            slots.append(u)
+            slots.append(v)
+    return tuple(edges), repeats
+
+
+def reference_erdos_renyi(n, density, seed):
+    """The generator over the list of all pairs, with one draw for all."""
+    pairs = list(combinations(range(n), 2))
+    mask = np.random.default_rng(seed).random(len(pairs)) < density
+    return tuple(p for p, keep in zip(pairs, mask) if keep)
+
+
+def reference_dump(g, out):
+    """dump_graph with one write and two label lookups per edge."""
+    if all(g.label(u) == u + 1 for u in range(g.n)):
+        out.write(f"n {g.n}\n")
+    for u, v, p in g.edges():
+        out.write(f"{g.label(u)} {g.label(v)} {p:.17g}\n")
 
 
 class TestBarabasiAlbert:
@@ -41,6 +81,14 @@ class TestBarabasiAlbert:
         with pytest.raises(ValueError):
             gen_barabasi_albert(5, 0, seed=0)
 
+    # (12, 10) draws 10 targets among 11 vertices; m = 1 cannot repeat
+    @pytest.mark.parametrize("n, m", [(12, 10), (40, 1), (2000, 10)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_sized_draws_match_scalar_draws(self, n, m, seed):
+        expected, repeats = reference_barabasi_albert(n, m, seed)
+        assert gen_barabasi_albert(n, m, seed).edges == expected
+        assert (repeats > 0) == (m > 1)
+
 
 class TestErdosRenyi:
     def test_density_one_is_complete(self):
@@ -58,6 +106,28 @@ class TestErdosRenyi:
     def test_seed_determinism(self):
         assert gen_erdos_renyi(30, 0.4, seed=2).edges == \
             gen_erdos_renyi(30, 0.4, seed=2).edges
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_row_draws_match_all_pairs_draw(self, n, density, seed):
+        assert gen_erdos_renyi(n, density, seed).edges == \
+            reference_erdos_renyi(n, density, seed)
+
+
+class TestDumpGraph:
+    @pytest.mark.parametrize("g", [
+        GenSpec("ba", 300, m=5, seed=2).build(),
+        UncertainGraph(5, [(0, 4, 0.25), (1, 2, 1.0), (0, 1, 0.1 + 0.2),
+                           (3, 4, 1e-300)], labels=(2, 3, 7, 40, 1000)),
+        # vertices 1, 4, 5, 6 and 8 have no edge
+        UncertainGraph(8, [(1, 2, 0.5), (2, 6, 0.75), (1, 6, 1 / 3)]),
+    ], ids=["header", "labels-not-1-to-n", "isolated-vertices"])
+    def test_bytes_match_per_edge_writer(self, g):
+        new, old = io.StringIO(), io.StringIO()
+        dump_graph(g, new)
+        reference_dump(g, old)
+        assert new.getvalue() == old.getvalue()
 
 
 class TestProbabilityAssignment:
@@ -137,3 +207,12 @@ class TestGenSpec:
     def test_extremal_build(self):
         g = GenSpec.parse("extremal:n=8,alpha=0.5").build()
         assert g.num_edges == 28
+
+    @pytest.mark.parametrize("spec, message", [
+        (GenSpec("xx", 5), "unknown family 'xx'"),
+        (GenSpec("ba", 0), "n must be >= 1"),
+        (GenSpec("er", -3), "n must be >= 1"),
+    ])
+    def test_build_rejects_bad_spec(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            spec.build()

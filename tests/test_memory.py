@@ -1,6 +1,7 @@
-"""Deterministic memory bounds on the front end of `umc enumerate`:
-tracemalloc counts the bytes Python allocates while a BA n=2000 graph
-is loaded and size-filtered, against the bytes the loaded graph keeps."""
+"""Deterministic memory bounds: tracemalloc counts the bytes Python
+allocates while a BA n=2000 graph is loaded and size-filtered (the front
+end of `umc enumerate`), and while an ER graph is generated, against the
+bytes the result keeps."""
 
 import gc
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 
 from umc.algorithms import shared_neighborhood_filter
-from umc.generators import GenSpec
+from umc.generators import GenSpec, gen_erdos_renyi
 from umc.graph import dump_graph, load_graph
 
 # Peak over retained size: 2.13 (load) and 0.96 (filter) when the loader
@@ -16,6 +17,9 @@ from umc.graph import dump_graph, load_graph
 # 1.31 and 0.58 with typed buffers and sets only for surviving edges.
 LOAD_PEAK_BOUND = 1.5
 FILTER_PEAK_BOUND = 0.8
+# 107 when every pair of C(3000, 2) was listed and masked at once (330 MB
+# for 45k edges); 1.09 with one row of draws at a time.
+ER_PEAK_BOUND = 1.5
 
 
 def load(path):
@@ -46,3 +50,16 @@ def test_load_and_filter_peaks(ba2000):
     assert load_peak <= LOAD_PEAK_BOUND * retained, load_peak / retained
     assert filter_peak - retained <= FILTER_PEAK_BOUND * retained, \
         (filter_peak - retained) / retained
+
+
+def test_erdos_renyi_peak():
+    gen_erdos_renyi(10, 0.5, seed=0)  # numpy's import is not the generator's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = gen_erdos_renyi(3000, 0.01, seed=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 40_000 < len(g.edges) < 50_000
+    assert peak <= ER_PEAK_BOUND * retained, peak / retained
