@@ -11,7 +11,7 @@ dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks; kept for benchmarking.
 
 mule and large_mule build each root vertex's frame straight from its
-row (UncertainGraph.row), keeping only edges with p >= alpha, and run one
+row (UncertainGraph.rows), keeping only edges with p >= alpha, and run one
 depth-first search per root; no search step scans vertices outside a
 neighbourhood.  Each step reads the added vertex's row once and does one
 dict lookup per candidate; a child left with no extension candidates,
@@ -24,14 +24,16 @@ through both rows.
 A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
 large_mule's shared_neighborhood_filter reads only the edges with
-p >= alpha too, so mule and large_mule take the graph as loaded.  Only
-dfs_noip, which recomputes products over every edge it sees, runs faster
-on an alpha-pruned copy (graph.prune_by_alpha).
+p >= alpha too, from the graph's edge arrays, so mule and large_mule take
+the graph as loaded, and large_mule builds rows only for the edges that
+survive its filter.  Only dfs_noip, which recomputes products over every
+edge it sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import contains, le
 from typing import Callable
 
 from .graph import (
@@ -118,11 +120,12 @@ def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
 def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
     """The roots, ascending, whose frame _enumerate pushes for threshold t:
     those with enough alpha-neighbours above them to reach size t, and at
-    least one.  Every other root emits at most its singleton, unsearched."""
+    least one.  Every other root emits at most its singleton, unsearched.
+    Builds g's rows (see UncertainGraph.rows) if they are not built yet,
+    so umc.parallel's workers, forked after this call, share them."""
     need = max(t - 1, 1)
     roots = []
-    for u in range(g.n):
-        row = g.row(u)
+    for u, row in enumerate(g.rows()):
         above = 0  # alpha-neighbours above u, counted up to need
         if len(row) >= need:
             for w, p in reversed(row.items()):  # the row is ascending
@@ -161,10 +164,11 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
             c2 = c + (u,)
             for w, r in ext:
                 sink(Clique(c2 + (w,), q * r))
-    rowmax = [max(g.row(u).values(), default=0.0) for u in range(g.n)]
+    rows = g.rows()
+    rowmax = [max(row.values(), default=0.0) for row in rows]
     count = 0
     for u in roots:
-        items = g.row(u).items()
+        items = rows[u].items()
         ext = [(w, p) for w, p in items if w > u and p >= alpha]
         if 1 + len(ext) < t:
             continue  # no clique containing u as its minimum is large enough
@@ -172,8 +176,8 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
         if check_invariants:
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
-            count += _search(g, _Frame((u,), 1.0, ext, excl, rowmax[u]),
-                             rowmax, alpha, sink, emit, t,
+            root = _Frame((u,), 1.0, ext, excl, rowmax[u])
+            count += _search(g, rows, root, rowmax, alpha, sink, emit, t,
                              check_invariants=check_invariants)
         elif not excl:
             sink(Clique((u,), 1.0))
@@ -181,9 +185,11 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
     return count
 
 
-def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
+def _search(g, rows, root, rowmax, alpha, sink, emit, t, *,
+            check_invariants):
     """Emit the alpha-maximal cliques with at least t vertices in root's
-    subtree; returns the count.
+    subtree; returns the count.  rows is g.rows(); g itself serves only
+    check_invariants.
 
     A child whose ext comes out empty is a leaf, decided without a frame:
     it is maximal exactly when no exclusion witness survives its addition.
@@ -227,12 +233,12 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
         q2 = fr.q * r
         # ext is sorted by vertex, so the entries after u are those above
         # it; the last child has none
-        ext2 = _filter(g, u, q2, ext[i:], alpha) if i < len(ext) else []
+        ext2 = _filter(rows, u, q2, ext[i:], alpha) if i < len(ext) else []
         if len(c) + 1 + len(ext2) < t:
             continue  # subtree cannot reach the size threshold
         if check_invariants:
             c2 = c + (u,)
-            excl2 = _filter(g, u, q2, fr.excl, alpha)
+            excl2 = _filter(rows, u, q2, fr.excl, alpha)
             _check_frame(g, c2, q2, ext2, excl2, alpha)
             if ext2:
                 stack.append(_Frame(c2, q2, ext2, excl2, fr.cap * rowmax[u]))
@@ -240,9 +246,9 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
                 sink(Clique(c2, q2))
                 count += 1
         elif not ext2:
-            if not (_has_witness(g, u, q2, fr.excl, alpha)
+            if not (_has_witness(rows, u, q2, fr.excl, alpha)
                     or fr.parent is not None and _has_inherited_witness(
-                        g, c[-1], fr.q, u, q2,
+                        rows, c[-1], fr.q, u, q2,
                         islice(fr.parent.excl, fr.plen), alpha)):
                 sink(Clique(c + (u,), q2))
                 count += 1
@@ -252,7 +258,7 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
                 count += len(ext2)
         else:
             if fr.parent is not None:
-                fr.excl = _filter(g, c[-1], fr.q,
+                fr.excl = _filter(rows, c[-1], fr.q,
                                   fr.parent.excl[:fr.plen], alpha) + fr.excl
                 fr.parent = None
             if len(ext2) > 1:
@@ -262,8 +268,8 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
                 # C+u's one child, C+u+w, is a leaf: decided here, as its
                 # frame would decide it, without the frame
                 w, r2 = ext2[0]
-                if not _has_inherited_witness(g, u, q2, w, q2 * r2, fr.excl,
-                                              alpha):
+                if not _has_inherited_witness(rows, u, q2, w, q2 * r2,
+                                              fr.excl, alpha):
                     sink(Clique(c + (u, w), q2 * r2))
                     count += 1
         # u's subtree is settled before any later sibling is expanded, so
@@ -272,11 +278,12 @@ def _search(g, root, rowmax, alpha, sink, emit, t, *, check_invariants):
     return count
 
 
-def _filter(g, m, q_new, entries, alpha):
+def _filter(rows, m, q_new, entries, alpha):
     """The candidates (v, f) of entries still able to extend the clique
     once m joins it: v adjacent to m, with the updated factor f*p keeping
-    the product >= alpha.  One row lookup per entry."""
-    row = g.row(m)
+    the product >= alpha.  rows is the graph's rows(); one lookup in m's
+    row per entry."""
+    row = rows[m]
     out = []
     for v, f in entries:
         p = row.get(v)
@@ -285,9 +292,10 @@ def _filter(g, m, q_new, entries, alpha):
     return out
 
 
-def _has_witness(g, m, q_new, excl, alpha):
-    """Whether _filter(g, m, q_new, excl, alpha) is nonempty, found early."""
-    row = g.row(m)
+def _has_witness(rows, m, q_new, excl, alpha):
+    """Whether _filter(rows, m, q_new, excl, alpha) is nonempty, found
+    early."""
+    row = rows[m]
     for v, s in excl:
         p = row.get(v)
         if p is not None and q_new * (s * p) >= alpha:
@@ -295,11 +303,11 @@ def _has_witness(g, m, q_new, excl, alpha):
     return False
 
 
-def _has_inherited_witness(g, m, q_m, u, q_new, excl, alpha):
-    """Whether _filter(g, u, q_new, _filter(g, m, q_m, excl, alpha), alpha)
-    is nonempty, found early: m's row and then u's, each product taken as
-    the two filters take it."""
-    row_m, row_u = g.row(m), g.row(u)
+def _has_inherited_witness(rows, m, q_m, u, q_new, excl, alpha):
+    """Whether _filter(rows, u, q_new, _filter(rows, m, q_m, excl, alpha),
+    alpha) is nonempty, found early: m's row and then u's, each product
+    taken as the two filters take it."""
+    row_m, row_u = rows[m], rows[u]
     for v, s in excl:
         p = row_m.get(v)
         if p is not None and q_m * (s := s * p) >= alpha:
@@ -344,19 +352,26 @@ def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
     edge of an alpha-clique of size >= t has the clique's other vertices
     as shared neighbours, so every such clique survives intact.
 
-    The first round reads each vertex's alpha-neighbours as a tuple and
-    checks each edge (u, v), v > u, against a set made of u's tuple; sets
-    are built only for the edges that survive it.  An edge's shared count
-    falls only when an edge at one of its endpoints is dropped, so each
-    later round checks only the edges at a vertex that lost one in the
-    round before, and the filter stops after a round that drops nothing.
+    The filter reads g's edge arrays, never its rows, so g's rows are not
+    built (see UncertainGraph), and the graph it returns builds rows only
+    for the edges that survive.  It groups each vertex's alpha-neighbours
+    in a list, with one int object per vertex, and checks each edge (u, v),
+    v > u, against a set made of u's list; sets are built only for the
+    edges that survive that first round.  An edge's shared count falls
+    only when an edge at one of its endpoints is dropped, so each later
+    round checks only the edges at a vertex that lost one in the round
+    before, and the filter stops after a round that drops nothing.
     """
     check_alpha(alpha)
     if t < 2:
         raise ValueError("size threshold must be >= 2 for filtering")
     need = t - 2
-    nbrs = [tuple([v for v, p in g.row(u).items() if p >= alpha])
-            for u in range(g.n)]
+    us, vs, ps = g.edge_arrays()
+    ids = list(range(g.n))
+    nbrs: list[list[int]] = [[] for _ in ids]
+    for u, v in compress(zip(us, vs), map(le, repeat(alpha), ps)):
+        nbrs[u].append(ids[v])
+        nbrs[v].append(ids[u])
     adj: dict[int, set[int]] = {}
     for u, nu in enumerate(nbrs):
         if len(nu) <= need:
@@ -377,8 +392,9 @@ def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
                 adj[v].discard(u)
                 dropped.update((u, v))
         lost = dropped
-    return g.replace_edges((u, v, g.row(u)[v])
-                           for u in sorted(adj) for v in sorted(adj[u]) if u < v)
+    # adj holds only alpha-edges, so an edge is kept when adj[u] holds v
+    kept = map(contains, map(adj.get, us, repeat(())), vs)
+    return g.replace_edges(compress(zip(us, vs, ps), kept))
 
 
 def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:

@@ -13,7 +13,9 @@ m distinct targets; Erdos-Renyi draws one row of pairs per call.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import UncertainGraph, number
@@ -82,9 +84,12 @@ def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainG
     Drawn as 1 - u with u in [0, 1) so the endpoint 0 is excluded and 1 is
     attainable, matching the probability codomain.
     """
-    # tolist(): the graph holds Python floats, not numpy.float64 scalars
-    draws = (1.0 - _rng(seed).random(len(g.edges))).tolist()
-    return UncertainGraph(g.n, [(u, v, p) for (u, v), p in zip(g.edges, draws)])
+    # The graph takes typed arrays, built in C loops: no (u, v, p) triple
+    # is made, and the draws are copied as the doubles they are.
+    ps = array("d", (1.0 - _rng(seed).random(len(g.edges))).tobytes())
+    us = array("q", map(itemgetter(0), g.edges))
+    vs = array("q", map(itemgetter(1), g.edges))
+    return UncertainGraph.from_arrays(g.n, us, vs, ps)
 
 
 def coauthor_probability(c: int) -> float:

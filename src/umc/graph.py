@@ -10,11 +10,12 @@ vertices and its labels sort alike.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from array import array
-from itertools import islice
-from typing import Iterable, Iterator, KeysView, NamedTuple, TextIO
+from itertools import chain, compress, islice, pairwise, repeat, starmap
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, TextIO
 
 
 class GraphFormatError(ValueError):
@@ -42,76 +43,103 @@ class Clique(NamedTuple):
 class UncertainGraph:
     """Immutable simple undirected graph with edge probabilities.
 
-    The adjacency is one row per vertex: a dict {neighbour: p} whose keys
-    run in ascending order whatever order the edges were given in.  All
-    accessors are pure reads, so instances are safe to share across
-    threads after construction.
+    The edges are kept as checked, in three typed arrays (edge_arrays()):
+    endpoints as array('q') and probabilities as array('d').  The
+    adjacency, one row per vertex (a dict {neighbour: p} whose keys run in
+    ascending order whatever order the edges were given in), is built from
+    them on the first rows() or row() call and kept, as are the label
+    index and the label strings on their first use.  So a graph whose
+    edges come in ascending order (as dump_graph writes them) and that is
+    only filtered, as large_mule's size filter filters its input, never
+    builds its rows.  Every other access is a pure read.  Two threads that
+    race on a first build each build the same result and one of them is
+    kept, so instances are safe to share across threads.
 
-    The constructor is the one place that enforces the graph rules: each
-    endpoint in 0..n-1, no self-loop, p in (0, 1] and no edge given twice.
-    Its ValueError messages name the external labels, which must strictly
-    ascend with the index (default 1..n); they are never re-sorted, as that
-    would renumber the caller's vertices.
+    The constructor (and from_arrays) is the one place that enforces the
+    graph rules: each endpoint in 0..n-1, no self-loop, p in (0, 1] and no
+    edge given twice.  It checks all the edges at once.  Edges in
+    ascending order cannot hold a duplicate; for edges in any other order
+    it builds the rows at once, where a duplicate shows as a missing row
+    entry.  Only when these checks find a fault does it go through the
+    edges one by one, so that its ValueError names the first faulty edge.
+    The messages name the external labels, which must strictly ascend with
+    the index (default 1..n); they are never re-sorted, as that would
+    renumber the caller's vertices.
     """
 
-    __slots__ = ("n", "num_edges", "_rows", "_labels", "_index",
-                 "_label_names")
+    __slots__ = ("n", "num_edges", "_us", "_vs", "_ps", "_rows", "_labels",
+                 "_index", "_label_names")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]],
                  labels: Iterable[int] | None = None):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        if labels is None:
-            lab = tuple(range(1, n + 1))
-        else:
-            lab = tuple(labels)
-            if len(lab) != n:
-                raise ValueError(f"{len(lab)} labels for {n} vertices")
-            if not all(map(operator.lt, lab, lab[1:])):
-                raise ValueError("labels must strictly ascend")
-        # One int object per vertex, shared by every row that holds it as
-        # a key (and by the label index), not one per edge end.
-        ids = list(range(n))
-        rows: list[dict[int, float]] = [{} for _ in ids]
-        for u, v, p in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {lab[u]}")
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"probability {p} outside (0, 1]")
-            row = rows[u]
-            if v in row:
-                raise ValueError(f"duplicate edge {{{lab[u]}, {lab[v]}}}")
-            row[ids[v]] = p
-            rows[v][ids[u]] = p
-        # A row is ascending as built when its edges came in ascending
-        # order, as dump_graph writes them.  Any other row is re-sorted
-        # alone, so no second full set of rows is ever alive.
-        for u, row in enumerate(rows):
-            if not all(map(operator.lt, row, islice(row, 1, None))):
-                rows[u] = dict(sorted(row.items()))
+        lab = _checked_labels(n, labels)
+        self._take(n, *_edge_arrays(n, edges, lab), lab)
+
+    @classmethod
+    def from_arrays(cls, n: int, us: array, vs: array, ps: array,
+                    labels: Iterable[int] | None = None) -> "UncertainGraph":
+        """The graph on the edges (us[i], vs[i], ps[i]), given as an
+        array('q') of endpoints each and an array('d') of probabilities
+        of one length, as the constructor would keep them.  It takes the
+        arrays over without a copy, so the caller must not change them."""
+        if not len(us) == len(vs) == len(ps):
+            raise ValueError("edge arrays of different lengths")
+        lab = _checked_labels(n, labels)
+        g = cls.__new__(cls)
+        g._take(n, us, vs, ps, lab)
+        return g
+
+    def _take(self, n, us, vs, ps, labels) -> None:
+        """Check the edges (us[i], vs[i], ps[i]) and keep the arrays."""
+        rows = None
+        ok = _edges_ok(n, us, vs, ps)
+        if ok is None:
+            # A row holds each neighbour once, so a duplicate leaves the
+            # rows short of two entries per edge.
+            rows = _build_rows(n, us, vs, ps)
+            ok = sum(map(len, rows)) == 2 * len(us)
+        if not ok:
+            _check_each(n, zip(us, vs, ps), labels)
         self.n = n
-        self.num_edges = sum(map(len, rows)) // 2
-        self._rows = tuple(rows)
-        self._labels = lab
-        self._index = dict(zip(lab, ids))
+        self.num_edges = len(us)
+        self._us, self._vs, self._ps = us, vs, ps
+        self._rows: tuple[dict[int, float], ...] | None = rows
+        self._labels = labels
+        self._index: dict[int, int] | None = None
         self._label_names: tuple[str, ...] | None = None
+
+    def edge_arrays(self) -> tuple[array, array, array]:
+        """The edges as given: endpoints us[i], vs[i] and probability
+        ps[i] of edge i, in any orientation and order.  Shared with the
+        graph: callers must not mutate them."""
+        return self._us, self._vs, self._ps
+
+    def rows(self) -> tuple[dict[int, float], ...]:
+        """Every vertex's row (see row), by index.  Built on the first
+        call and kept."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _build_rows(self.n, self._us, self._vs,
+                                            self._ps)
+        return rows
 
     def row(self, u: int) -> dict[int, float]:
         """u's neighbours in ascending order, each mapped to its edge
         probability.  Shared with the graph: callers must not mutate it."""
-        return self._rows[u]
+        rows = self._rows
+        if rows is None:
+            rows = self.rows()
+        return rows[u]
 
     def adj_set(self, u: int) -> KeysView[int]:
-        return self._rows[u].keys()
+        return self.row(u).keys()
 
     def edge_prob(self, u: int, v: int) -> float:
-        return self._rows[u][v]
+        return self.row(u)[v]
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Edges as (u, v, p) with u < v, in sorted order."""
-        for u, row in enumerate(self._rows):
+        for u, row in enumerate(self.rows()):
             yield from ((u, v, p) for v, p in row.items() if v > u)
 
     def label(self, u: int) -> int:
@@ -133,11 +161,121 @@ class UncertainGraph:
 
     def index(self, label: int) -> int:
         """Internal index of an external label; KeyError if unknown."""
+        if self._index is None:
+            self._index = dict(zip(self._labels, range(self.n)))
         return self._index[label]
 
     def replace_edges(self, edges: Iterable[tuple[int, int, float]]) -> "UncertainGraph":
         """New graph on the same vertex set/labels with a different edge set."""
-        return UncertainGraph(self.n, edges, self._labels)
+        g = UncertainGraph.__new__(UncertainGraph)
+        g._take(self.n, *_edge_arrays(self.n, edges, self._labels),
+                self._labels)
+        return g
+
+
+def _checked_labels(n: int, labels: Iterable[int] | None) -> Sequence[int]:
+    """The external labels of n vertices: 1..n by default, else labels,
+    which must be n and strictly ascend."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if labels is None:
+        return range(1, n + 1)
+    lab = tuple(labels)
+    if len(lab) != n:
+        raise ValueError(f"{len(lab)} labels for {n} vertices")
+    if not all(map(operator.lt, lab, lab[1:])):
+        raise ValueError("labels must strictly ascend")
+    return lab
+
+
+class _EdgeFault(ValueError):
+    """Edge number `index` of a graph's edge list breaks a graph rule."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _edge_arrays(n: int, edges: Iterable[tuple[int, int, float]],
+                 labels: Sequence[int]) -> tuple[array, array, array]:
+    """edges as the three arrays UncertainGraph keeps.  An edge that no
+    array can hold (an endpoint beyond 64 bits, say) is passed to
+    _check_each with the edges before it, to be named as the first fault
+    if it breaks a graph rule; the array's own error is raised if not."""
+    us, vs, ps = array("q"), array("q"), array("d")
+    add_u, add_v, add_p = us.append, vs.append, ps.append
+    it = iter(edges)
+    for u, v, p in it:
+        try:
+            add_u(u)
+            add_v(v)
+            add_p(p)
+        except (TypeError, OverflowError):
+            _check_each(n, chain(zip(us, vs, ps), [(u, v, p)], it), labels)
+            raise
+    return us, vs, ps
+
+
+def _edges_ok(n: int, us: array, vs: array, ps: array) -> bool | None:
+    """Whether the edges (us[i], vs[i], ps[i]) keep every graph rule,
+    checked over all of them at once, in C loops over the arrays: False
+    when one breaks a rule, True when none does, and None when only the
+    duplicate rule is left to the caller.  Duplicates in either
+    orientation share the key lo*n+hi of their endpoints lo < hi, so keys
+    that strictly ascend, as those of edges in dump_graph order do, prove
+    there are none; other keys prove nothing, and give None."""
+    if not us:
+        return True
+    if all(map(operator.lt, us, vs)):  # so no edge is a self-loop
+        lo, hi = us, vs
+    elif any(map(operator.eq, us, vs)):
+        return False
+    else:
+        lo, hi = array("q", map(min, us, vs)), array("q", map(max, us, vs))
+    if min(lo) < 0 or max(hi) >= n:
+        return False
+    # min() and max() skip a NaN after the first item; their sum does not
+    if not (0.0 < min(ps) and max(ps) <= 1.0) or math.isnan(sum(ps)):
+        return False
+    keys = map(operator.add, map(operator.mul, lo, repeat(n)), hi)
+    return True if all(starmap(operator.lt, pairwise(keys))) else None
+
+
+def _check_each(n: int, edges: Iterable[tuple[int, int, float]],
+                labels: Sequence[int]) -> None:
+    """Check the edges one by one and raise _EdgeFault for the first that
+    breaks a graph rule, with the message of the rule it breaks first."""
+    seen = set()
+    for i, (u, v, p) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            raise _EdgeFault(f"edge endpoint out of range: ({u}, {v})", i)
+        if u == v:
+            raise _EdgeFault(f"self-loop at vertex {labels[u]}", i)
+        if not 0.0 < p <= 1.0:
+            raise _EdgeFault(f"probability {p} outside (0, 1]", i)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise _EdgeFault(f"duplicate edge {{{labels[u]}, {labels[v]}}}", i)
+        seen.add(key)
+
+
+def _build_rows(n: int, us: array, vs: array,
+                ps: array) -> tuple[dict[int, float], ...]:
+    """The rows of the edges (us[i], vs[i], ps[i]), each ascending."""
+    # One int object per vertex, shared by every row that holds it as a
+    # key, not one per edge end.
+    ids = list(range(n))
+    rows: list[dict[int, float]] = [{} for _ in ids]
+    for u, v, p in zip(us, vs, ps):
+        rows[u][ids[v]] = p
+        rows[v][ids[u]] = p
+    # A row is ascending as built when its edges came in ascending order,
+    # as dump_graph writes them.  Any other row is re-sorted alone, so no
+    # second full set of rows is ever alive.
+    for u, row in enumerate(rows):
+        if not all(map(operator.lt, row, islice(row, 1, None))):
+            rows[u] = dict(sorted(row.items()))
+    return tuple(rows)
 
 
 _MAX_COUNT_DIGITS = len(str(sys.maxsize))
@@ -164,7 +302,8 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     label_order: dict[int, int] = {}
     # The parsed edges, unboxed: endpoints (internal indices, or without a
     # header first-appearance indices until the labels are all known),
-    # probabilities and line numbers.
+    # probabilities and line numbers.  The graph takes the endpoint and
+    # probability arrays over, without a copy.
     us, vs, ps, edge_lines = array("q"), array("q"), array("d"), array("q")
 
     def intern(ext: int, line_no: int) -> int:
@@ -216,22 +355,21 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         ps.append(p)
         edge_lines.append(line_no)
 
+    labels: list[int] | None = None
     if header_n is None:
         n = len(label_order)
         labels = sorted(label_order)
         rank = [0] * n  # first-appearance index -> internal index
         for r, ext in enumerate(labels):
             rank[label_order[ext]] = r
-        rest = zip(map(rank.__getitem__, us), map(rank.__getitem__, vs), ps)
+        us = array("q", map(rank.__getitem__, us))
+        vs = array("q", map(rank.__getitem__, vs))
     else:
-        n, labels = header_n, None
-        rest = zip(us, vs, ps)
+        n = header_n
     try:
-        return UncertainGraph(n, rest, labels)
-    except ValueError as exc:
-        # The constructor stopped on the edge it took last from rest.
-        bad = len(us) - 1 - sum(1 for _ in rest)
-        raise GraphFormatError(str(exc), edge_lines[bad])
+        return UncertainGraph.from_arrays(n, us, vs, ps, labels)
+    except _EdgeFault as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.index])
 
 
 def _id_fault(ids: list[str]) -> str:
@@ -276,7 +414,9 @@ def prune_by_alpha(g: UncertainGraph, alpha: float) -> UncertainGraph:
     any clique whose probability reaches alpha.
     """
     check_alpha(alpha)
-    return g.replace_edges((u, v, p) for u, v, p in g.edges() if p >= alpha)
+    us, vs, ps = g.edge_arrays()
+    return g.replace_edges(
+        compress(zip(us, vs, ps), map(operator.le, repeat(alpha), ps)))
 
 
 def check_alpha(alpha: float) -> None:

@@ -2,8 +2,9 @@
 
 Each root vertex's subtree depends on that root alone (see
 algorithms._enumerate), so the roots can be searched in any process and
-in any order.  The parent loads and size-filters the graph once, then
-forks; the workers share the graph copy-on-write.  Every worker, the
+in any order.  The parent loads and size-filters the graph once, and
+builds the filtered graph's rows (search_roots does), then forks; the
+workers share the graph and its rows copy-on-write.  Every worker, the
 parent among them, claims roots from a counter in a shared ledger file,
 searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the

@@ -7,16 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from umc import algorithms
+from umc import algorithms, graph
 from umc.algorithms import (
     dfs_noip,
     large_mule,
     mule,
     shared_neighborhood_filter,
+    size_filter,
     _filter,
 )
 from umc.cli import PROB_REL_TOL
-from umc.graph import UncertainGraph, load_graph, prune_by_alpha
+from umc.generators import GenSpec
+from umc.graph import UncertainGraph, dump_graph, load_graph, prune_by_alpha
 from umc.oracle import build_extremal_graph, brute_force_enumerate
 
 
@@ -108,16 +110,16 @@ class TestCandidateMaintenance:
     def test_extension_keeps_adjacent_above_threshold(self):
         g = parse(PATH_3)
         ext = [(0, 1.0), (1, 1.0), (2, 1.0)]
-        got = _filter(g, 0, 1.0, ext[1:], 0.75)
+        got = _filter(g.rows(), 0, 1.0, ext[1:], 0.75)
         assert got == [(1, pytest.approx(0.9))]
 
     def test_extension_empty_input(self):
         g = parse(PATH_3)
-        assert _filter(g, 0, 1.0, [], 0.5) == []
+        assert _filter(g.rows(), 0, 1.0, [], 0.5) == []
 
     def test_extension_boundary_product_exactly_alpha_kept(self):
         g = parse("1 2 0.5\n")
-        got = _filter(g, 0, 1.0, [(0, 1.0), (1, 1.0)][1:], 0.5)
+        got = _filter(g.rows(), 0, 1.0, [(0, 1.0), (1, 1.0)][1:], 0.5)
         assert got == [(1, 0.5)]
 
     def test_exclusion_drops_non_neighbors(self):
@@ -125,17 +127,17 @@ class TestCandidateMaintenance:
         # of {2}; extending to {2,3} drops it (no 1-3 edge), so {2,3} is
         # emitted as maximal
         g = parse(PATH_3)
-        assert _filter(g, 2, 0.8, [(0, 0.9)], 0.75) == []
+        assert _filter(g.rows(), 2, 0.8, [(0, 0.9)], 0.75) == []
         got = collect(mule, g, 0.75)
         assert (1, 2) in got
 
     def test_exclusion_empty_input(self):
         g = parse(PATH_3)
-        assert _filter(g, 1, 0.9, [], 0.75) == []
+        assert _filter(g.rows(), 1, 0.9, [], 0.75) == []
 
     def test_exclusion_keeps_surviving_witness(self):
         g = parse("1 2 0.9\n1 3 0.9\n2 3 0.9\n")
-        got = _filter(g, 2, 0.9, [(0, 0.9)], 0.5)
+        got = _filter(g.rows(), 2, 0.9, [(0, 0.9)], 0.5)
         assert got == [(0, pytest.approx(0.81))]
 
 
@@ -343,6 +345,28 @@ class TestSharedNeighborhoodFilter:
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             shared_neighborhood_filter(parse(PATH_3), 0.0, 3)
+
+    def test_input_rows_are_never_built(self, monkeypatch):
+        # The filter reads the loaded graph's edge arrays; rows are built
+        # only for the graphs it returns, which large_mule searches.
+        text = io.StringIO()
+        dump_graph(GenSpec("ba", n=2000, m=10, seed=1).build(), text)
+        g = parse(text.getvalue())
+        built = []
+        real = graph._build_rows
+
+        def spy(n, us, vs, ps):
+            built.append(us)
+            return real(n, us, vs, ps)
+
+        monkeypatch.setattr(graph, "_build_rows", spy)
+        kept = size_filter(g, 0.1, 4)
+        assert 0 < kept.num_edges < g.num_edges
+        assert collect(large_mule, g, 0.1, 4)
+        assert len(built) == 1  # large_mule's own filtered graph
+        assert all(us is not g.edge_arrays()[0] for us in built)
+        assert kept.rows()  # built now, for kept alone
+        assert len(built) == 2 and built[1] is kept.edge_arrays()[0]
 
 
 class TestDfsNoip:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 import umc
+from umc import graph
+from umc.generators import GenSpec
 from umc.graph import (
     GraphFormatError,
     NotACliqueError,
@@ -242,6 +244,136 @@ class TestUncertainGraph:
             UncertainGraph(2, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
             UncertainGraph(2, [(0, 1, 0.5), (1, 0, 0.4)])
+
+
+def reference_check(n, edges, labels):
+    """The constructor's former per-edge loop, kept as the reference: the
+    position and message of the first edge that breaks a graph rule, or
+    the rows (each ascending) when none does."""
+    rows = [{} for _ in range(n)]
+    for i, (u, v, p) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return i, f"edge endpoint out of range: ({u}, {v})"
+        if u == v:
+            return i, f"self-loop at vertex {labels[u]}"
+        if not 0.0 < p <= 1.0:
+            return i, f"probability {p} outside (0, 1]"
+        row = rows[u]
+        if v in row:
+            return i, f"duplicate edge {{{labels[u]}, {labels[v]}}}"
+        row[v] = p
+        rows[v][u] = p
+    return [sorted(row.items()) for row in rows]
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """(n, labels, edges) with faults drawn in: endpoints just outside
+    0..n-1, self-loops, p of 0, below 0, above 1 or NaN, and edges given
+    twice in either orientation; often several in one list."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.none() | st.lists(st.integers(1, 50), min_size=n,
+                                       max_size=n, unique=True).map(sorted))
+    vertex = st.integers(-1, n)
+    prob = st.floats(0.01, 1.0) | st.sampled_from(
+        [0.0, -0.5, 1.0, 1.5, math.nan])
+    edges = draw(st.lists(st.tuples(vertex, vertex, prob), max_size=12))
+    for i, j, flip in draw(st.lists(st.tuples(st.integers(0, 12),
+                                              st.integers(0, 12),
+                                              st.booleans()), max_size=3)):
+        if edges:  # give an edge again, possibly reversed
+            u, v, p = edges[i % len(edges)]
+            edges.insert(j % (len(edges) + 1),
+                         (v, u, p) if flip else (u, v, p))
+    return n, labels, edges
+
+
+class TestBulkChecks:
+    """The constructor checks all edges at once and walks them one by one
+    only after a fault; either way it must say what the per-edge loop
+    says, and load_graph must name the line of that edge."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_edge_lists())
+    def test_constructor_matches_the_per_edge_loop(self, case):
+        n, labels, edges = case
+        lab = labels or range(1, n + 1)
+        expected = reference_check(n, edges, lab)
+        if isinstance(expected, list):
+            g = UncertainGraph(n, edges, labels)
+            assert [list(row.items()) for row in g.rows()] == expected
+            assert g.num_edges == len(edges)
+        else:
+            with pytest.raises(ValueError) as info:
+                UncertainGraph(n, edges, labels)
+            assert str(info.value) == expected[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_edge_lists(), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_load_graph_names_the_line_of_the_first_fault(self, case, header,
+                                                          rng):
+        n, _, edges = case
+        lines = [f"n {n}"] if header else []
+        line_of = []
+        for u, v, p in edges:
+            while rng.random() < 0.3:
+                lines.append(rng.choice(["", "# a comment"]))
+            lines.append(f"{u + 1} {v + 1} {p!r}")
+            line_of.append(len(lines))
+        # ids the loader refuses; without a header any positive id is a
+        # vertex
+        bad = [(i, x) for i, e in enumerate(edges) for x in e[:2]
+               if x < 0 or header and x >= n]
+        if bad:  # refused at the first such line
+            i, x = bad[0]
+            expected = (f"vertex id {x + 1} must be positive" if x < 0 else
+                        f"vertex id {x + 1} exceeds declared count {n}")
+        else:
+            names = sorted({x + 1 for e in edges for x in e[:2]})
+            lab = range(1, n + 1) if header else names
+            index = {name: k for k, name in enumerate(lab)}
+            internal = [(index[u + 1], index[v + 1], p) for u, v, p in edges]
+            result = reference_check(len(lab), internal, lab)
+            if isinstance(result, list):
+                g = parse("\n".join(lines) + "\n")
+                assert [list(row.items()) for row in g.rows()] == result
+                return
+            i, expected = result
+        with pytest.raises(GraphFormatError) as info:
+            parse("\n".join(lines) + "\n")
+        assert str(info.value) == f"line {line_of[i]}: {expected}"
+        assert info.value.line_no == line_of[i]
+
+    def test_per_edge_loop_runs_only_after_a_fault(self, monkeypatch):
+        calls = []
+        real = graph._check_each
+
+        def spy(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(graph, "_check_each", spy)
+        rng = random.Random(3)
+        edges = [(u, v, rng.random() or 1.0) for u in range(40)
+                 for v in range(u + 1, 40) if rng.random() < 0.3]
+        text = "".join(f"{u + 1} {v + 1} {p!r}\n" for u, v, p in edges)
+        parse(f"n 40\n{text}")  # dump_graph order
+        GenSpec("ba", n=300, m=5, seed=1).build()  # by higher endpoint
+        rng.shuffle(edges)
+        mixed = [(v, u, p) if rng.random() < 0.5 else (u, v, p)
+                 for u, v, p in edges]
+        UncertainGraph(40, mixed)
+        assert calls == []
+        u, v, p = mixed[0]
+        with pytest.raises(ValueError, match="duplicate edge"):
+            UncertainGraph(40, mixed + [(v, u, p)])
+        assert len(calls) == 1
+
+    def test_endpoint_beyond_64_bits_is_out_of_range(self):
+        with pytest.raises(ValueError) as info:
+            UncertainGraph(3, [(0, 1, 0.5), (1, 2**70, 0.5)])
+        assert str(info.value) == f"edge endpoint out of range: (1, {2**70})"
 
 
 class TestPruneByAlpha:

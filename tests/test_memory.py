@@ -1,7 +1,7 @@
 """Deterministic memory bounds: tracemalloc counts the bytes Python
 allocates while a BA n=2000 graph is loaded and size-filtered (the front
-end of `umc enumerate`), and while an ER graph is generated, against the
-bytes the result keeps."""
+end of `umc enumerate`), per input edge, and while an ER graph is
+generated, against the bytes the result keeps."""
 
 import gc
 import tracemalloc
@@ -12,11 +12,13 @@ from umc.algorithms import shared_neighborhood_filter
 from umc.generators import GenSpec, gen_erdos_renyi
 from umc.graph import dump_graph, load_graph
 
-# Peak over retained size: 2.13 (load) and 0.96 (filter) when the loader
-# buffered boxed tuples and the filter built a set per vertex up front;
-# 1.31 and 0.58 with typed buffers and sets only for surviving edges.
-LOAD_PEAK_BOUND = 1.5
-FILTER_PEAK_BOUND = 0.8
+# Bytes per input edge.  When the constructor built a dict row per vertex
+# for every edge, the loaded graph kept 120 and the load peaked at 157;
+# the load and the filter together peaked at 189.  Kept as typed arrays,
+# with rows built only for the graph the filter returns: 25, 35 and 89.
+RETAINED_PER_EDGE = 30
+LOAD_PEAK_PER_EDGE = 45
+FILTER_PEAK_PER_EDGE = 115
 # 107 when every pair of C(3000, 2) was listed and masked at once (330 MB
 # for 45k edges); 1.09 with one row of draws at a time.
 ER_PEAK_BOUND = 1.5
@@ -46,10 +48,11 @@ def test_load_and_filter_peaks(ba2000):
         _, filter_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0 < kept.num_edges < g.num_edges
-    assert load_peak <= LOAD_PEAK_BOUND * retained, load_peak / retained
-    assert filter_peak - retained <= FILTER_PEAK_BOUND * retained, \
-        (filter_peak - retained) / retained
+    m = g.num_edges
+    assert 0 < kept.num_edges < m
+    assert retained <= RETAINED_PER_EDGE * m, retained / m
+    assert load_peak <= LOAD_PEAK_PER_EDGE * m, load_peak / m
+    assert filter_peak <= FILTER_PEAK_PER_EDGE * m, filter_peak / m
 
 
 def test_erdos_renyi_peak():
