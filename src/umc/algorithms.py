@@ -8,7 +8,8 @@ large_mule  size-thresholded variant: shared-neighborhood pre-filtering
             plus a branch guard that skips subtrees too small to reach the
             threshold t >= 1; mule is the same search at t = 1.
 dfs_noip    baseline that recomputes every clique probability from scratch
-            and runs full maximality checks; kept for benchmarking.
+            and runs full maximality checks, and emits only the cliques
+            of at least t vertices; kept for benchmarking.
 
 mule and large_mule build each root vertex's frame straight from its
 row (UncertainGraph.rows), keeping only edges with p >= alpha, and run one
@@ -24,10 +25,11 @@ through both rows.
 A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
 large_mule's shared_neighborhood_filter reads only the edges with
-p >= alpha too, from the graph's edge arrays, so mule and large_mule take
-the graph as loaded, and large_mule builds rows only for the edges that
-survive its filter.  Only dfs_noip, which recomputes products over every
-edge it sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
+p >= alpha too, from the graph's edge arrays, and selects the survivors
+from them (UncertainGraph.select), so mule and large_mule take the graph
+as loaded, and large_mule builds rows only for the edges that survive its
+filter.  Only dfs_noip, which recomputes products over every edge it
+sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
 """
 
 from __future__ import annotations
@@ -120,9 +122,7 @@ def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
 def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
     """The roots, ascending, whose frame _enumerate pushes for threshold t:
     those with enough alpha-neighbours above them to reach size t, and at
-    least one.  Every other root emits at most its singleton, unsearched.
-    Builds g's rows (see UncertainGraph.rows) if they are not built yet,
-    so umc.parallel's workers, forked after this call, share them."""
+    least one.  Every other root emits at most its singleton, unsearched."""
     need = max(t - 1, 1)
     roots = []
     for u, row in enumerate(g.rows()):
@@ -393,20 +393,24 @@ def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
                 dropped.update((u, v))
         lost = dropped
     # adj holds only alpha-edges, so an edge is kept when adj[u] holds v
-    kept = map(contains, map(adj.get, us, repeat(())), vs)
-    return g.replace_edges(compress(zip(us, vs, ps), kept))
+    return g.select(map(contains, map(adj.get, us, repeat(())), vs))
 
 
-def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:
+def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink, t: int = 1) -> int:
     """Baseline enumerator with no incremental probability bookkeeping.
 
     Same search-tree shape as mule (vertices added in increasing order),
     but every candidate's clique probability is recomputed from scratch
-    and maximality is decided by a full definition-level check.  Emits the
-    same clique set as mule; kept as the performance comparison point.
-    Unlike mule it recurses, one level per vertex of the working clique.
+    and maximality is decided by a full definition-level check.  Emits,
+    and counts, the alpha-maximal cliques with at least t vertices: the
+    same clique set as large_mule (mule at t = 1).  It searches the whole
+    tree whatever t is, with no size filter or guard, and is kept as the
+    performance comparison point.  Unlike mule it recurses, one level per
+    vertex of the working clique.
     """
     check_alpha(alpha)
+    if t < 1:
+        raise ValueError("size threshold must be >= 1")
     count = 0
 
     def visit(c: tuple[int, ...], cand) -> None:
@@ -414,8 +418,9 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink) -> int:
         above max(c) that extends c to an alpha-clique."""
         nonlocal count
         if is_alpha_maximal(g, c, alpha):
-            sink(Clique(c, clique_probability(g, c)))
-            count += 1
+            if len(c) >= t:
+                sink(Clique(c, clique_probability(g, c)))
+                count += 1
             return
         mx = c[-1]
         row = g.row(mx)

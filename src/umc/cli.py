@@ -6,7 +6,8 @@ The default seed is 0, overridable via the UMC_SEED environment variable
 or per-command --seed flags.
 
 Clique stream format (enumerate output, verify input): one clique per
-line, "<prob:17sig> <v1> <v2> ... <vk>" with external vertex ids ascending.
+line, "<prob:17sig> <v1> <v2> ... <vk>" with external vertex ids ascending,
+as umc.graph.format_clique writes it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from typing import TextIO
 from . import parallel
 from .algorithms import dfs_noip, large_mule, mule
 from .graph import (
-    Clique,
     GraphFormatError,
     UncertainGraph,
     check_alpha,
     clique_probability,
     dump_graph,
+    format_clique,
     is_alpha_maximal,
     load_graph,
     number,
@@ -104,16 +105,12 @@ def _check_alpha_arg(alpha: float) -> float:
     return alpha
 
 
-def format_clique(g: UncertainGraph, c: Clique) -> str:
-    return f"{c.prob:.17g} " + g.label_text(c.vertices)
-
-
 def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
                      sink) -> tuple[int, float]:
-    """Emit g's alpha-maximal cliques with at least t vertices into sink:
-    with large_mule when algo is "mule" and t > 1, else with mule or
-    dfs_noip, whose output is then filtered by size (the baseline has no
-    pruned variant).  Returns the number of cliques sink received and the
+    """Emit g's alpha-maximal cliques with at least t vertices into sink,
+    with one search call: dfs_noip when algo is "dfs-noip", else
+    large_mule when t > 1 and mule at t = 1.  Each enumerator applies t
+    itself.  Returns the number of cliques sink received and the
     milliseconds spent in the search, sink included.
 
     mule and large_mule apply alpha themselves; dfs_noip, which
@@ -123,30 +120,17 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     that replaces one on this module (to trace it, say) sees its
     replacement run.  That holds on this serial path only: cmd_enumerate's
     parallel path (umc.parallel) calls size_filter and the search kernel
-    directly, and looks up only format_clique, for single cliques, and
-    parallel.format_batch, for each of the kernel's batches, at call
-    time; the label text of a batch's frame is joined once, by
-    g.label_text, outside format_batch.
+    directly, and looks up the formatters in its own module's globals.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)
     start = time.perf_counter()
-    if algo == "mule":
-        if t > 1:
-            count = large_mule(g, alpha, t, sink)
-        else:
-            count = mule(g, alpha, sink)
+    if algo == "dfs-noip":
+        count = dfs_noip(g, alpha, sink, t)
     elif t > 1:
-        count = 0
-
-        def sized(c):
-            nonlocal count
-            if len(c.vertices) >= t:
-                count += 1
-                sink(c)
-        dfs_noip(g, alpha, sized)
+        count = large_mule(g, alpha, t, sink)
     else:
-        count = dfs_noip(g, alpha, sink)
+        count = mule(g, alpha, sink)
     return count, (time.perf_counter() - start) * 1000.0
 
 
@@ -163,8 +147,7 @@ def cmd_enumerate(args) -> int:
         try:
             if workers > 1:
                 count, ms = parallel.enumerate_into(
-                    out, g, alpha, args.min_size,
-                    lambda c: format_clique(g, c), workers)
+                    out, g, alpha, args.min_size, workers)
             else:
                 count, ms = _run_enumeration(
                     g, args.algo, alpha, args.min_size,

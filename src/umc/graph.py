@@ -6,6 +6,9 @@ labels are kept only for I/O.  The total order that drives the
 enumeration ("add vertices in increasing order") is the internal index
 order, and that is ascending label order for every graph, so a clique's
 vertices and its labels sort alike.
+
+format_clique and format_batch write the clique stream's lines (see
+umc.cli), one clique or one batch of the search kernel's at a time.
 """
 
 from __future__ import annotations
@@ -50,18 +53,19 @@ class UncertainGraph:
     them on the first rows() or row() call and kept, as are the label
     index and the label strings on their first use.  So a graph whose
     edges come in ascending order (as dump_graph writes them) and that is
-    only filtered, as large_mule's size filter filters its input, never
-    builds its rows.  Every other access is a pure read.  Two threads that
-    race on a first build each build the same result and one of them is
-    kept, so instances are safe to share across threads.
+    only filtered (select), as large_mule's size filter filters its input,
+    never builds its rows.  Every other access is a pure read.  Two
+    threads that race on a first build each build the same result and one
+    of them is kept, so instances are safe to share across threads.
 
-    The constructor (and from_arrays) is the one place that enforces the
-    graph rules: each endpoint in 0..n-1, no self-loop, p in (0, 1] and no
-    edge given twice.  It checks all the edges at once.  Edges in
-    ascending order cannot hold a duplicate; for edges in any other order
-    it builds the rows at once, where a duplicate shows as a missing row
-    entry.  Only when these checks find a fault does it go through the
-    edges one by one, so that its ValueError names the first faulty edge.
+    The constructor, from_arrays and select share the one place that
+    enforces the graph rules: each endpoint in 0..n-1, no self-loop, p in
+    (0, 1] and no edge given twice.  It checks all the edges at once.
+    Edges in ascending order cannot hold a duplicate; for edges in any
+    other order it builds the rows at once, where a duplicate shows as a
+    missing row entry.  Only when these checks find a fault does it go
+    through the edges one by one, so that its ValueError names the first
+    faulty edge.
     The messages name the external labels, which must strictly ascend with
     the index (default 1..n); they are never re-sorted, as that would
     renumber the caller's vertices.
@@ -165,12 +169,33 @@ class UncertainGraph:
             self._index = dict(zip(self._labels, range(self.n)))
         return self._index[label]
 
-    def replace_edges(self, edges: Iterable[tuple[int, int, float]]) -> "UncertainGraph":
-        """New graph on the same vertex set/labels with a different edge set."""
+    def select(self, keep: Iterable[bool]) -> "UncertainGraph":
+        """The graph on the same vertices and labels with the edges i, in
+        their order, for which keep, one flag per edge, is true."""
+        keep = bytes(keep)  # one byte per edge, read by each compress
         g = UncertainGraph.__new__(UncertainGraph)
-        g._take(self.n, *_edge_arrays(self.n, edges, self._labels),
-                self._labels)
+        g._take(self.n, array("q", compress(self._us, keep)),
+                array("q", compress(self._vs, keep)),
+                array("d", compress(self._ps, keep)), self._labels)
         return g
+
+
+def format_clique(g: UncertainGraph, c: Clique) -> str:
+    """c's clique-stream line: its probability to 17 significant digits,
+    then its labels, ascending."""
+    return f"{c.prob:.17g} " + g.label_text(c.vertices)
+
+
+def format_batch(g: UncertainGraph, head: str, u: int, q: float,
+                 ext: list) -> list[str]:
+    """The format_clique lines of the cliques c+(u, w), with probability
+    q*r, for (w, r) in ext.  head is g.label_text(c), which the caller
+    joins once for all the batches of one frame; each line is head
+    followed by the label strings of u and w, taken from
+    g.label_names()."""
+    names = g.label_names()
+    prefix = f"{head} {names[u]}"
+    return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
 
 
 def _checked_labels(n: int, labels: Iterable[int] | None) -> Sequence[int]:
@@ -414,9 +439,7 @@ def prune_by_alpha(g: UncertainGraph, alpha: float) -> UncertainGraph:
     any clique whose probability reaches alpha.
     """
     check_alpha(alpha)
-    us, vs, ps = g.edge_arrays()
-    return g.replace_edges(
-        compress(zip(us, vs, ps), map(operator.le, repeat(alpha), ps)))
+    return g.select(map(operator.le, repeat(alpha), g.edge_arrays()[2]))
 
 
 def check_alpha(alpha: float) -> None:

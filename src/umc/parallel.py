@@ -3,7 +3,7 @@
 Each root vertex's subtree depends on that root alone (see
 algorithms._enumerate), so the roots can be searched in any process and
 in any order.  The parent loads and size-filters the graph once, and
-builds the filtered graph's rows (search_roots does), then forks; the
+builds the filtered graph's rows (enumerate_into does), then forks; the
 workers share the graph and its rows copy-on-write.  Every worker, the
 parent among them, claims roots from a counter in a shared ledger file,
 searches them, formats their cliques and writes them to its own
@@ -12,8 +12,10 @@ ledger.  The cliques the kernel decides by its factor ceiling come in
 batches that share all but their last vertex, several batches to a
 search frame (see algorithms._search).  Labels ascend with the index
 (see umc.graph), so a worker joins each frame's labels once, and
-format_batch adds the last two labels of each clique from label strings
-built in the process that formats.  Once every worker has finished, the
+graph.format_batch adds the last two labels of each clique from label
+strings built in the process that formats; every other clique is
+formatted alone, by graph.format_clique.  Both are looked up in this
+module's globals at call time.  Once every worker has finished, the
 parent copies the segments into the output in claim order, which is root
 order, so the output is byte for byte that of a serial run.
 
@@ -30,10 +32,9 @@ import struct
 import tempfile
 import threading
 import time
-from typing import Callable
 
 from .algorithms import _enumerate, search_roots, size_filter
-from .graph import Clique, UncertainGraph
+from .graph import UncertainGraph, format_batch, format_clique
 
 _COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
 _SEGMENT = struct.Struct("3q")  # per claim: worker, offset, length
@@ -66,17 +67,15 @@ def available_workers(out) -> int:
 
 
 def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
-                   fmt: Callable[[Clique], str],
                    workers: int) -> tuple[int, float]:
-    """Write the lines fmt gives for g's alpha-maximal cliques with at
-    least t vertices to out, in the order large_mule emits them, using at
-    most `workers` processes (this one included).  The cliques the kernel
-    emits in batches (see algorithms._enumerate) are written as
-    format_batch gives them, which is as cli.format_clique does, so fmt
-    must give format_clique's lines too.  Returns the clique count, taken
-    from the lines copied (one line per clique), and the milliseconds
-    spent from the size filter to the last byte copied, as
-    cli._run_enumeration does for its sink.
+    """Write the clique-stream lines (graph.format_clique's) of g's
+    alpha-maximal cliques with at least t vertices to out, in the order
+    large_mule emits them, using at most `workers` processes (this one
+    included).  Returns the clique count, taken from the lines copied
+    (one line per clique), and the milliseconds spent from the size
+    filter to the last byte copied, as cli._run_enumeration does for its
+    sink.  The filtered graph's rows are built here, before the fork, so
+    that the workers share one copy of them.
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim covers
@@ -87,6 +86,7 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     """
     start = time.perf_counter()
     g = size_filter(g, alpha, t)
+    g.rows()  # built before the fork, so every worker shares them
     ends = [u + 1 for u in search_roots(g, alpha, t)][:-1] + [g.n]
     workers = max(1, min(workers, len(ends)))
     files = []  # the ledger, then one spool per worker
@@ -98,7 +98,7 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
         os.ftruncate(ledger, _COUNTER.size + _SEGMENT.size * len(ends))
 
         def work(w):
-            _work(w, spools[w], ledger, ends, g, alpha, t, fmt)
+            _work(w, spools[w], ledger, ends, g, alpha, t)
 
         for w in range(1, workers):
             pids.append(_fork(work, w))
@@ -145,19 +145,7 @@ def _fork(work, w: int) -> int:
         os._exit(status)
 
 
-def format_batch(g: UncertainGraph, head: str, u: int, q: float,
-                 ext: list) -> list[str]:
-    """The clique-stream lines (cli.format_clique's) of the cliques
-    c+(u, w), with probability q*r, for (w, r) in ext.  head is
-    g.label_text(c), which the caller joins once for all the batches of
-    one frame; each line is head followed by the label strings of u and
-    w, taken from g.label_names()."""
-    names = g.label_names()
-    prefix = f"{head} {names[u]}"
-    return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
-
-
-def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
+def _work(w, spool, ledger, ends, g, alpha, t) -> None:
     """Worker w: claim, search, format and spool until no claim is left."""
     lines: list[str] = []
 
@@ -168,7 +156,7 @@ def _work(w, spool, ledger, ends, g, alpha, t, fmt) -> None:
             lines.clear()
 
     def sink(c):
-        lines.append(fmt(c))
+        lines.append(format_clique(g, c))
         if len(lines) >= BUFFER_LINES:
             flush()
 

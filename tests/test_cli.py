@@ -2,6 +2,8 @@
 
 import csv
 import io
+import json
+import os
 import random
 import subprocess
 import sys
@@ -505,3 +507,39 @@ def test_extremal_generate_imports_neither_numpy_nor_dataclasses(tmp_path):
     assert rc == "0" and "umc.generators" in added, out.stdout
     for name in ("numpy", "dataclasses"):
         assert name not in added, added
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_in_repo(*argv):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, *argv], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench/trace_child.py replaces names on umc.cli, umc.algorithms
+    and UncertainGraph with timing wrappers.  Installing it must find every
+    one of them, so a rename that would break the traced benchmark runs
+    fails here first."""
+    proc = run_in_repo(
+        "-c", "import sys; sys.path.insert(0, 'perfbench'); "
+        "import trace_child; trace_child.install(trace_child.Tracer(), True)")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("algo", ["mule", "dfs-noip"])
+def test_traced_run_makes_one_search_call(tmp_path, algo):
+    """A traced run above --min-size 1 reaches its enumerator through one
+    call, which the tracer sees and which counts only the large cliques."""
+    paw = tmp_path / "paw.txt"
+    paw.write_text("1 2 0.9\n2 3 0.9\n1 3 0.9\n3 4 0.9\n")
+    spans = tmp_path / "spans.json"
+    proc = run_in_repo("perfbench/trace_child.py", str(spans),
+                       "--input", str(paw), "--alpha", "0.5", "--algo", algo,
+                       "--min-size", "3", "--out", str(tmp_path / "c.txt"))
+    assert proc.returncode == 0, proc.stderr
+    searches = [s for s in json.loads(spans.read_text())["spans"]
+                if s["name"] == "algorithms.search"]
+    assert [(s["cliques"], s["max_size"]) for s in searches] == [(1, 3)]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 import umc
 from umc import graph
+from umc.algorithms import shared_neighborhood_filter
 from umc.generators import GenSpec
 from umc.graph import (
     GraphFormatError,
@@ -208,13 +209,19 @@ class TestUncertainGraph:
         with pytest.raises(ValueError, match="duplicate edge"):
             UncertainGraph(3, [(0, 1, 0.5), (2, 1, 0.5), (1, 0, 0.5)])
 
-    def test_replace_edges_counts_new_edge_set(self):
-        g = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
-                           labels=(5, 6, 7, 8))
-        h = g.replace_edges([(3, 0, 0.25)])
-        assert (h.n, h.num_edges, h.label(3)) == (4, 1, 8)
-        assert list(h.edges()) == [(0, 3, 0.25)]
-        assert g.num_edges == 3 and h.row(1) == {}
+    def test_select_keeps_labels_and_edge_order_in_new_arrays(self):
+        g = UncertainGraph(4, [(2, 3, 0.5), (0, 1, 0.5), (3, 0, 0.25),
+                               (1, 2, 0.75)], labels=(5, 6, 7, 8))
+        h = g.select(iter([True, False, True, True]))
+        assert (h.n, h.num_edges, h.label(3)) == (4, 3, 8)
+        assert [a.tolist() for a in h.edge_arrays()] == \
+            [[2, 3, 1], [3, 0, 2], [0.5, 0.25, 0.75]]
+        assert [a.typecode for a in h.edge_arrays()] == ["q", "q", "d"]
+        assert list(h.edges()) == [(0, 3, 0.25), (1, 2, 0.75), (2, 3, 0.5)]
+        assert g.num_edges == 4 and h.row(1) == {2: 0.75}
+        assert g.row(1) == {0: 0.5, 2: 0.75}
+        assert not any(a is b for a in h.edge_arrays()
+                       for b in g.edge_arrays())
 
     @pytest.mark.parametrize("text, vertices, expected", [
         ("n 12\n1 2 0.5\n", (0, 3, 11), "1 4 12"),
@@ -394,6 +401,27 @@ class TestPruneByAlpha:
     def test_path_alpha_085(self):
         pruned = prune_by_alpha(parse(PATH_3), 0.85)
         assert list(pruned.edges()) == [(0, 1, 0.9)]
+
+
+def test_derived_graphs_select_from_the_parent_arrays(monkeypatch):
+    """prune_by_alpha and the size filter's t-truss take their edges from
+    the parent's arrays, never through the constructor's (u, v, p) path."""
+    g = GenSpec("ba", n=300, m=5, seed=1).build()
+    alpha_edges = [e for e in g.edges() if e[2] >= 0.3]
+    calls = []
+    real = graph._edge_arrays
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_edge_arrays", spy)
+    pruned = prune_by_alpha(g, 0.3)
+    truss = shared_neighborhood_filter(g, 0.3, 3)
+    assert calls == []
+    assert list(pruned.edges()) == alpha_edges
+    assert 0 < truss.num_edges < len(alpha_edges)
+    assert set(truss.edges()) <= set(alpha_edges)
 
 
 class TestCliqueProbability:

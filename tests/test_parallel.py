@@ -45,8 +45,7 @@ def serial_bytes(g, alpha, t):
 
 def parallel_bytes(g, alpha, t, workers=WORKERS):
     with tempfile.TemporaryFile("w") as out:
-        count, _ = parallel.enumerate_into(
-            out, g, alpha, t, lambda c: cli.format_clique(g, c), workers)
+        count, _ = parallel.enumerate_into(out, g, alpha, t, workers)
         fd = out.fileno()
         return count, os.pread(fd, os.fstat(fd).st_size, 0)
 
@@ -263,10 +262,10 @@ def run_cli_script(script, *args, stdout=subprocess.PIPE):
 
 
 # Runs `umc enumerate` with formatters (format_clique for single cliques,
-# parallel.format_batch for the batches the kernel emits) that raise in
-# one process (argv[3]: the parent or its worker) and stall argv[4]
-# seconds on the first clique in the other, then prints the exit code and
-# whether any child process is left.
+# format_batch for the batches the kernel emits, both as umc.parallel
+# looks them up) that raise in one process (argv[3]: the parent or its
+# worker) and stall argv[4] seconds on the first clique in the other,
+# then prints the exit code and whether any child process is left.
 FAILING_RUN = """
 import os, sys, time
 import umc.cli as cli
@@ -285,7 +284,7 @@ def failing(real):
         return real(*args)
     return fmt
 
-cli.format_clique = failing(cli.format_clique)
+parallel.format_clique = failing(parallel.format_clique)
 parallel.format_batch = failing(parallel.format_batch)
 try:
     rc = cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",

@@ -199,6 +199,22 @@ def test_dfs_noip_matches_mule(g, alpha):
 
 
 @settings(max_examples=60, deadline=None)
+@given(uncertain_graphs(), alphas, st.integers(min_value=1, max_value=4))
+def test_dfs_noip_applies_the_size_threshold(g, alpha, t):
+    """dfs_noip at threshold t returns and emits exactly large_mule's
+    vertex sets, which are the oracle's cliques of at least t vertices."""
+    pruned = prune_by_alpha(g, alpha)
+    got, want = [], []
+    count = dfs_noip(pruned, alpha, got.append, t)
+    large_mule(pruned, alpha, t, want.append)
+    sets = {c.vertices for c in got}
+    assert count == len(got) == len(sets)
+    assert sets == {c.vertices for c in want}
+    assert sets == {v for v in brute_force_enumerate(g, alpha).vertex_sets()
+                    if len(v) >= t}
+
+
+@settings(max_examples=60, deadline=None)
 @given(uncertain_graphs(max_n=7), alphas)
 def test_output_count_never_exceeds_bound(g, alpha):
     if g.n < 2:
