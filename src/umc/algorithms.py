@@ -6,7 +6,7 @@ mule        incremental depth-first enumeration: each candidate carries a
             alone (no graph rescans).
 large_mule  size-thresholded variant: shared-neighborhood pre-filtering
             plus a branch guard that skips subtrees too small to reach the
-            threshold t >= 1; mule is the same search at t = 1.
+            threshold t >= 1; mule is large_mule at t = 1.
 dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks, and emits only the cliques
             of at least t vertices; kept for benchmarking.
@@ -22,6 +22,10 @@ frame, decides cliques at the threshold unscanned and hands them over as
 one batch.  A frame's exclusion list is built only when a child of the
 frame needs it; until then a leaf's witness test reads the parent's list
 through both rows.
+The search has one output, emit(c, u, q, ext) (see _enumerate), for
+single cliques and batches alike, and counts nothing: large_mule's
+adapter builds each Clique for its sink and counts, and umc.parallel
+formats straight from the tuples.
 A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
 large_mule's shared_neighborhood_filter reads only the edges with
@@ -92,23 +96,40 @@ def mule(g: UncertainGraph, alpha: float, sink: Sink, *,
 
     A clique is emitted when both candidate sets are empty: no vertex above
     max(C) extends it (ext) and no vertex below does either (excl), which
-    is exactly maximality.
+    is exactly maximality.  This is large_mule at t = 1, which searches g
+    itself and prunes nothing.
     """
-    return _enumerate(g, alpha, sink, range(g.n), 1,
-                      check_invariants=check_invariants)
+    return large_mule(g, alpha, 1, sink, check_invariants=check_invariants)
 
 
 def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
                check_invariants: bool = False) -> int:
-    """Emit exactly the alpha-maximal cliques with at least t vertices.
+    """Emit exactly the alpha-maximal cliques with at least t vertices;
+    returns the count.
 
     Searches size_filter(g, alpha, t) and prunes any branch where
     |C'| + |ext'| < t: that subtree cannot reach size t, and every
     surviving witness needed for maximality of a size->=t clique is
     preserved (on the path to such a clique the guard never fires).
+    The search hands its cliques out as (c, u, q, ext) (see _enumerate);
+    one adapter builds each Clique, passes it to sink and counts it.
     """
-    return _enumerate(size_filter(g, alpha, t), alpha, sink, range(g.n), t,
-                      check_invariants=check_invariants)
+    count = 0
+
+    def emit(c, u, q, ext):
+        nonlocal count
+        c2 = c + (u,)
+        if ext is None:
+            sink(Clique(c2, q))
+            count += 1
+        else:
+            for w, r in ext:
+                sink(Clique(c2 + (w,), q * r))
+            count += len(ext)
+
+    _enumerate(size_filter(g, alpha, t), alpha, emit, range(g.n), t,
+               check_invariants=check_invariants)
+    return count
 
 
 def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
@@ -137,18 +158,21 @@ def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
     return roots
 
 
-def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
+def _enumerate(g, alpha, emit, roots, t, *, check_invariants):
     """One depth-first search per root vertex u, taken from the iterable
-    roots in ascending order, emitting the alpha-maximal cliques with at
-    least t vertices.
+    roots in ascending order, handing every alpha-maximal clique with at
+    least t vertices to emit, in order.
 
-    The cliques the factor ceiling decides come in batches, one per
-    child C+u of a frame, and go to emit(c, u, q, ext): the cliques
-    c+(u, w) with probability q*r for (w, r) in ext, in that order.  c is
-    the frame's own clique tuple, the same object for every batch of the
-    frame, so a caller can key per-frame work on its identity.  Every
-    other clique goes to sink.  The default emit hands each clique of a
-    batch to sink as a Clique, so sink alone sees the whole stream.
+    emit(c, u, q, ext) is the search's one output.  With ext None it is
+    the single clique c+(u,) with probability q; a root's singleton goes
+    out as ((), u, 1.0, None).  Otherwise it is a batch, the cliques
+    c+(u, w) with probability q*r for (w, r) in ext, in that order: one
+    per child C+u that the factor ceiling decides, and a one-entry batch
+    for the one child of a child with one candidate (see _search).  c is
+    the clique tuple of the frame the clique comes from, the same object
+    for every clique of that frame, so a caller can key per-frame work on
+    its identity.  The search keeps no count; the caller counts what emit
+    receives.
 
     u's frame is built from its row alone: ext holds the neighbours above
     u and excl those below, each with its edge probability as the cached
@@ -159,14 +183,8 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
     alone, and any set of roots can be searched in any process.
     """
     check_alpha(alpha)
-    if emit is None:
-        def emit(c, u, q, ext):
-            c2 = c + (u,)
-            for w, r in ext:
-                sink(Clique(c2 + (w,), q * r))
     rows = g.rows()
     rowmax = [max(row.values(), default=0.0) for row in rows]
-    count = 0
     for u in roots:
         items = rows[u].items()
         ext = [(w, p) for w, p in items if w > u and p >= alpha]
@@ -177,31 +195,30 @@ def _enumerate(g, alpha, sink, roots, t, *, check_invariants, emit=None):
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
             root = _Frame((u,), 1.0, ext, excl, rowmax[u])
-            count += _search(g, rows, root, rowmax, alpha, sink, emit, t,
-                             check_invariants=check_invariants)
+            _search(g, rows, root, rowmax, alpha, emit, t,
+                    check_invariants=check_invariants)
         elif not excl:
-            sink(Clique((u,), 1.0))
-            count += 1
-    return count
+            emit((), u, 1.0, None)
 
 
-def _search(g, rows, root, rowmax, alpha, sink, emit, t, *,
-            check_invariants):
-    """Emit the alpha-maximal cliques with at least t vertices in root's
-    subtree; returns the count.  rows is g.rows(); g itself serves only
-    check_invariants.
+def _search(g, rows, root, rowmax, alpha, emit, t, *, check_invariants):
+    """Hand the alpha-maximal cliques with at least t vertices in root's
+    subtree to emit (see _enumerate).  rows is g.rows(); g itself serves
+    only check_invariants.
 
     A child whose ext comes out empty is a leaf, decided without a frame:
-    it is maximal exactly when no exclusion witness survives its addition.
+    it is maximal exactly when no exclusion witness survives its addition,
+    and it goes to emit as (C, u, q2, None).
     A child C+{u} with one extension candidate w is not maximal, and its
     one child C+{u,w} is a leaf, decided here against fr's list through
-    the rows of u and w, as C+{u}'s frame would decide it.
+    the rows of u and w, as C+{u}'s frame would decide it; it goes to emit
+    as the one-entry batch (C, u, q2, [(w, r2)]).
     The factor ceiling cap2 = fr.cap*rowmax[u] of C+{u} bounds every
     factor its candidates will hold, and rounding is monotone, so when
     (q2*cap2)*cap2 < alpha no child of C+{u} can be extended: each is a
-    leaf with no witness, and the batch goes to emit as (C, u, q2, ext2),
-    with fr's own clique tuple as C (see _enumerate).  The ceiling only
-    skips tests that would fail, so the output is unchanged; under
+    leaf with no witness, and the batch goes to emit as (C, u, q2, ext2).
+    In all three, C is fr's own clique tuple.  The ceiling only skips
+    tests that would fail, so the output is unchanged; under
     check_invariants the tests run anyway and must agree.
 
     A pushed frame's exclusion list is lazy (see _Frame): most frames
@@ -214,7 +231,6 @@ def _search(g, rows, root, rowmax, alpha, sink, emit, t, *,
     check_invariants every child with candidates gets a frame, and every
     list is built at the push and checked.
     """
-    count = 0
     # Explicit frame stack: depth reaches the largest clique size, up to n,
     # far beyond what native recursion survives.
     stack = [root]
@@ -243,19 +259,16 @@ def _search(g, rows, root, rowmax, alpha, sink, emit, t, *,
             if ext2:
                 stack.append(_Frame(c2, q2, ext2, excl2, fr.cap * rowmax[u]))
             elif not excl2:
-                sink(Clique(c2, q2))
-                count += 1
+                emit(c, u, q2, None)
         elif not ext2:
             if not (_has_witness(rows, u, q2, fr.excl, alpha)
                     or fr.parent is not None and _has_inherited_witness(
                         rows, c[-1], fr.q, u, q2,
                         islice(fr.parent.excl, fr.plen), alpha)):
-                sink(Clique(c + (u,), q2))
-                count += 1
+                emit(c, u, q2, None)
         elif q2 * (cap2 := fr.cap * rowmax[u]) * cap2 < alpha:
             if len(c) + 2 >= t:
                 emit(c, u, q2, ext2)
-                count += len(ext2)
         else:
             if fr.parent is not None:
                 fr.excl = _filter(rows, c[-1], fr.q,
@@ -270,12 +283,10 @@ def _search(g, rows, root, rowmax, alpha, sink, emit, t, *,
                 w, r2 = ext2[0]
                 if not _has_inherited_witness(rows, u, q2, w, q2 * r2,
                                               fr.excl, alpha):
-                    sink(Clique(c + (u, w), q2 * r2))
-                    count += 1
+                    emit(c, u, q2, ext2)
         # u's subtree is settled before any later sibling is expanded, so
         # u is already a maximality witness for everything to its right.
         fr.excl.append(entry)
-    return count
 
 
 def _filter(rows, m, q_new, entries, alpha):

@@ -120,7 +120,7 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     that replaces one on this module (to trace it, say) sees its
     replacement run.  That holds on this serial path only: cmd_enumerate's
     parallel path (umc.parallel) calls size_filter and the search kernel
-    directly, and looks up the formatters in its own module's globals.
+    directly, and looks up format_batch in its own module's globals.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)

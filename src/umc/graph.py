@@ -7,8 +7,9 @@ enumeration ("add vertices in increasing order") is the internal index
 order, and that is ascending label order for every graph, so a clique's
 vertices and its labels sort alike.
 
-format_clique and format_batch write the clique stream's lines (see
-umc.cli), one clique or one batch of the search kernel's at a time.
+format_clique writes a Clique's line of the clique stream (see umc.cli),
+and format_batch the lines of one output of the search kernel's, a
+single clique or a batch, from the tuples the kernel hands out.
 """
 
 from __future__ import annotations
@@ -187,14 +188,17 @@ def format_clique(g: UncertainGraph, c: Clique) -> str:
 
 
 def format_batch(g: UncertainGraph, head: str, u: int, q: float,
-                 ext: list) -> list[str]:
+                 ext: list | None) -> list[str]:
     """The format_clique lines of the cliques c+(u, w), with probability
-    q*r, for (w, r) in ext.  head is g.label_text(c), which the caller
-    joins once for all the batches of one frame; each line is head
-    followed by the label strings of u and w, taken from
+    q*r, for (w, r) in ext, or with ext None the one line of c+(u,),
+    with probability q.  head is g.label_text(c), which the caller joins
+    once for all the cliques of one frame, and empty for c = (); each
+    line is head followed by the label strings of u and w, taken from
     g.label_names()."""
     names = g.label_names()
-    prefix = f"{head} {names[u]}"
+    prefix = f"{head} {names[u]}" if head else names[u]
+    if ext is None:
+        return [f"{q:.17g} {prefix}"]
     return [f"{q * r:.17g} {prefix} {names[w]}" for w, r in ext]
 
 

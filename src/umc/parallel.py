@@ -8,16 +8,16 @@ workers share the graph and its rows copy-on-write.  Every worker, the
 parent among them, claims roots from a counter in a shared ledger file,
 searches them, formats their cliques and writes them to its own
 temporary file, one segment per claim, recording each segment in the
-ledger.  The cliques the kernel decides by its factor ceiling come in
-batches that share all but their last vertex, several batches to a
-search frame (see algorithms._search).  Labels ascend with the index
-(see umc.graph), so a worker joins each frame's labels once, and
-graph.format_batch adds the last two labels of each clique from label
-strings built in the process that formats; every other clique is
-formatted alone, by graph.format_clique.  Both are looked up in this
-module's globals at call time.  Once every worker has finished, the
-parent copies the segments into the output in claim order, which is root
-order, so the output is byte for byte that of a serial run.
+ledger.  The kernel hands out every clique through its one
+output, emit(c, u, q, ext), where c is the clique tuple of the search
+frame the clique comes from, shared by all the frame's cliques (see
+algorithms._enumerate).  Labels ascend with the index (see umc.graph),
+so a worker joins each frame's labels once, and graph.format_batch adds
+the last one or two labels of each clique from label strings built in
+the process that formats.  It is looked up in this module's globals at
+call time.  Once every worker has finished, the parent copies the
+segments into the output in claim order, which is root order, so the
+output is byte for byte that of a serial run.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -34,7 +34,7 @@ import threading
 import time
 
 from .algorithms import _enumerate, search_roots, size_filter
-from .graph import UncertainGraph, format_batch, format_clique
+from .graph import UncertainGraph, format_batch
 
 _COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
 _SEGMENT = struct.Struct("3q")  # per claim: worker, offset, length
@@ -155,16 +155,11 @@ def _work(w, spool, ledger, ends, g, alpha, t) -> None:
             spool.write("\n".join(lines).encode("ascii"))
             lines.clear()
 
-    def sink(c):
-        lines.append(format_clique(g, c))
-        if len(lines) >= BUFFER_LINES:
-            flush()
-
-    frame = head = None  # the last batch's frame clique and its labels
+    frame = head = None  # the last output's frame clique and its labels
 
     def emit(c, u, q, ext):
         nonlocal frame, head
-        if c is not frame:  # the frame's siblings share its clique tuple
+        if c is not frame:  # the frame's cliques share its clique tuple
             frame = c
             head = g.label_text(c)
         lines.extend(format_batch(g, head, u, q, ext))
@@ -179,7 +174,7 @@ def _work(w, spool, ledger, ends, g, alpha, t) -> None:
             os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
                       _COUNTER.size + _SEGMENT.size * k)
 
-    _enumerate(g, alpha, sink, roots(), t, check_invariants=False, emit=emit)
+    _enumerate(g, alpha, emit, roots(), t, check_invariants=False)
     spool.flush()
 
 

@@ -529,17 +529,25 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("algo", ["mule", "dfs-noip"])
-def test_traced_run_makes_one_search_call(tmp_path, algo):
-    """A traced run above --min-size 1 reaches its enumerator through one
-    call, which the tracer sees and which counts only the large cliques."""
+@pytest.mark.parametrize("algo, min_size, expected", [
+    pytest.param("mule", 3, (1, 3), id="mule"),
+    pytest.param("dfs-noip", 3, (1, 3), id="dfs-noip"),
+    pytest.param("mule", 1, (2, 3), id="mule-min-size-1"),
+])
+def test_traced_run_makes_one_search_call(tmp_path, algo, min_size,
+                                          expected):
+    """A traced run reaches its enumerator through one call, which the
+    tracer sees and which counts only the cliques of at least --min-size
+    vertices.  At --min-size 1, mule's call of large_mule inside
+    umc.algorithms is not a second traced call."""
     paw = tmp_path / "paw.txt"
     paw.write_text("1 2 0.9\n2 3 0.9\n1 3 0.9\n3 4 0.9\n")
     spans = tmp_path / "spans.json"
     proc = run_in_repo("perfbench/trace_child.py", str(spans),
                        "--input", str(paw), "--alpha", "0.5", "--algo", algo,
-                       "--min-size", "3", "--out", str(tmp_path / "c.txt"))
+                       "--min-size", str(min_size),
+                       "--out", str(tmp_path / "c.txt"))
     assert proc.returncode == 0, proc.stderr
     searches = [s for s in json.loads(spans.read_text())["spans"]
                 if s["name"] == "algorithms.search"]
-    assert [(s["cliques"], s["max_size"]) for s in searches] == [(1, 3)]
+    assert [(s["cliques"], s["max_size"]) for s in searches] == [expected]

@@ -129,9 +129,9 @@ def test_search_roots(g, alpha, t):
         assert (u in roots) == (len(above) >= max(t - 1, 1))
         if u not in roots:
             emitted = []
-            _enumerate(g, alpha, emitted.append, [u], t,
+            _enumerate(g, alpha, lambda *out: emitted.append(out), [u], t,
                        check_invariants=False)
-            assert [c.vertices for c in emitted] in ([], [(u,)])
+            assert emitted in ([], [((), u, 1.0, None)])
 
 
 @pytest.mark.parametrize("n", [12, 14])
@@ -261,11 +261,11 @@ def run_cli_script(script, *args, stdout=subprocess.PIPE):
                           env=env, timeout=TIMEOUT_S)
 
 
-# Runs `umc enumerate` with formatters (format_clique for single cliques,
-# format_batch for the batches the kernel emits, both as umc.parallel
-# looks them up) that raise in one process (argv[3]: the parent or its
-# worker) and stall argv[4] seconds on the first clique in the other,
-# then prints the exit code and whether any child process is left.
+# Runs `umc enumerate` with the worker's one formatter (format_batch, as
+# umc.parallel looks it up) replaced by one that raises in one process
+# (argv[3]: the parent or its worker) and stalls argv[4] seconds on the
+# first clique in the other, then prints the exit code and whether any
+# child process is left.
 FAILING_RUN = """
 import os, sys, time
 import umc.cli as cli
@@ -284,7 +284,6 @@ def failing(real):
         return real(*args)
     return fmt
 
-parallel.format_clique = failing(parallel.format_clique)
 parallel.format_batch = failing(parallel.format_batch)
 try:
     rc = cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",

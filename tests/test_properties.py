@@ -78,9 +78,12 @@ def test_emissions_are_sound_and_unique(g, alpha):
 
 
 def emitted(fn, g, alpha, *args, **kwargs):
-    """The emitted stream in order, probabilities as exact bit patterns."""
+    """The emitted stream in order, probabilities as exact bit patterns.
+    The count fn returns must be the number of cliques its sink received
+    (for mule and large_mule, their adapter's count: the kernel keeps
+    none)."""
     out = []
-    fn(g, alpha, *args, out.append, **kwargs)
+    assert fn(g, alpha, *args, out.append, **kwargs) == len(out)
     return [(c.vertices, c.prob.hex()) for c in out]
 
 
