@@ -28,17 +28,20 @@ adapter builds each Clique for its sink and counts, and umc.parallel
 formats straight from the tuples.
 A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
-large_mule's shared_neighborhood_filter reads only the edges with
-p >= alpha too, from the graph's edge arrays, and selects the survivors
-from them (UncertainGraph.select), so mule and large_mule take the graph
-as loaded, and large_mule builds rows only for the edges that survive its
+The graph's edge arrays are sorted by (lo, hi), so they list each
+vertex's neighbours above it (its later neighbours, in Eppstein, Loffler
+and Strash's terms) back to back; search_roots counts the roots' alpha-
+neighbours there, and large_mule's shared_neighborhood_filter reads only
+the edges with p >= alpha from them and selects the survivors
+(UncertainGraph.select).  So mule and large_mule take the graph as
+loaded, and large_mule builds rows only for the edges that survive its
 filter.  Only dfs_noip, which recomputes products over every edge it
 sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import contains, le
 from typing import Callable
 
@@ -143,19 +146,14 @@ def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
 def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
     """The roots, ascending, whose frame _enumerate pushes for threshold t:
     those with enough alpha-neighbours above them to reach size t, and at
-    least one.  Every other root emits at most its singleton, unsearched."""
+    least one.  Every other root emits at most its singleton, unsearched.
+    Read from g's edge arrays, which list each vertex's neighbours above
+    it back to back in ascending order, so no row is built."""
+    us, _, ps = g.edge_arrays()
     need = max(t - 1, 1)
-    roots = []
-    for u, row in enumerate(g.rows()):
-        above = 0  # alpha-neighbours above u, counted up to need
-        if len(row) >= need:
-            for w, p in reversed(row.items()):  # the row is ascending
-                if w < u or above == need:
-                    break
-                above += p >= alpha
-        if above == need:
-            roots.append(u)
-    return roots
+    # one run of equal lower endpoints per vertex, ascending
+    lows = groupby(compress(us, map(le, repeat(alpha), ps)))
+    return [u for u, run in lows if len(list(run)) >= need]
 
 
 def _enumerate(g, alpha, emit, roots, t, *, check_invariants):
@@ -364,14 +362,15 @@ def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
     as shared neighbours, so every such clique survives intact.
 
     The filter reads g's edge arrays, never its rows, so g's rows are not
-    built (see UncertainGraph), and the graph it returns builds rows only
-    for the edges that survive.  It groups each vertex's alpha-neighbours
-    in a list, with one int object per vertex, and checks each edge (u, v),
-    v > u, against a set made of u's list; sets are built only for the
-    edges that survive that first round.  An edge's shared count falls
-    only when an edge at one of its endpoints is dropped, so each later
-    round checks only the edges at a vertex that lost one in the round
-    before, and the filter stops after a round that drops nothing.
+    built (see UncertainGraph), and the graph it returns keeps the edges
+    that survive in g's (lo, hi) order and builds rows only for them.  It
+    groups each vertex's alpha-neighbours in a list, with one int object
+    per vertex, and checks each edge (u, v), v > u, against a set made of
+    u's list; sets are built only for the edges that survive that first
+    round.  An edge's shared count falls only when an edge at one of its
+    endpoints is dropped, so each later round checks only the edges at a
+    vertex that lost one in the round before, and the filter stops after
+    a round that drops nothing.
     """
     check_alpha(alpha)
     if t < 2:

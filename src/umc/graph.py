@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from array import array
-from itertools import chain, compress, islice, pairwise, repeat, starmap
+from itertools import chain, compress, pairwise, repeat, starmap
 from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, TextIO
 
 
@@ -48,25 +48,23 @@ class UncertainGraph:
     """Immutable simple undirected graph with edge probabilities.
 
     The edges are kept as checked, in three typed arrays (edge_arrays()):
-    endpoints as array('q') and probabilities as array('d').  The
-    adjacency, one row per vertex (a dict {neighbour: p} whose keys run in
-    ascending order whatever order the edges were given in), is built from
-    them on the first rows() or row() call and kept, as are the label
-    index and the label strings on their first use.  So a graph whose
-    edges come in ascending order (as dump_graph writes them) and that is
-    only filtered (select), as large_mule's size filter filters its input,
-    never builds its rows.  Every other access is a pure read.  Two
-    threads that race on a first build each build the same result and one
-    of them is kept, so instances are safe to share across threads.
+    endpoints as array('q') and probabilities as array('d'), each edge as
+    (lo, hi, p) with lo < hi, strictly ascending by (lo, hi) whatever
+    order and orientation they came in.  The adjacency, one row per vertex
+    (a dict {neighbour: p} whose keys ascend), is built from them on the
+    first rows() or row() call and kept, as are the label index and the
+    label strings on their first use.  Listing the edges (edges(),
+    dump_graph) or filtering them (select), as large_mule's size filter
+    does, builds no rows.  Every other access is a pure read.  Two threads
+    that race on a first build each build the same result and one of them
+    is kept, so instances are safe to share across threads.
 
     The constructor, from_arrays and select share the one place that
     enforces the graph rules: each endpoint in 0..n-1, no self-loop, p in
-    (0, 1] and no edge given twice.  It checks all the edges at once.
-    Edges in ascending order cannot hold a duplicate; for edges in any
-    other order it builds the rows at once, where a duplicate shows as a
-    missing row entry.  Only when these checks find a fault does it go
-    through the edges one by one, so that its ValueError names the first
-    faulty edge.
+    (0, 1] and no edge given twice.  It checks all the edges at once, and
+    sorts them when they do not already ascend.  Only when these checks
+    find a fault does it go through the edges one by one, as given, so
+    that its ValueError names the first faulty edge.
     The messages name the external labels, which must strictly ascend with
     the index (default 1..n); they are never re-sorted, as that would
     renumber the caller's vertices.
@@ -85,8 +83,9 @@ class UncertainGraph:
                     labels: Iterable[int] | None = None) -> "UncertainGraph":
         """The graph on the edges (us[i], vs[i], ps[i]), given as an
         array('q') of endpoints each and an array('d') of probabilities
-        of one length, as the constructor would keep them.  It takes the
-        arrays over without a copy, so the caller must not change them."""
+        of one length.  Arrays already in the kept order (see the class)
+        are taken over without a copy, so the caller must not change
+        them; any others are copied in that order."""
         if not len(us) == len(vs) == len(ps):
             raise ValueError("edge arrays of different lengths")
         lab = _checked_labels(n, labels)
@@ -95,27 +94,21 @@ class UncertainGraph:
         return g
 
     def _take(self, n, us, vs, ps, labels) -> None:
-        """Check the edges (us[i], vs[i], ps[i]) and keep the arrays."""
-        rows = None
-        ok = _edges_ok(n, us, vs, ps)
-        if ok is None:
-            # A row holds each neighbour once, so a duplicate leaves the
-            # rows short of two entries per edge.
-            rows = _build_rows(n, us, vs, ps)
-            ok = sum(map(len, rows)) == 2 * len(us)
-        if not ok:
+        """Check the edges (us[i], vs[i], ps[i]) and keep them in order."""
+        edges = _ordered(n, us, vs, ps)
+        if edges is None:
             _check_each(n, zip(us, vs, ps), labels)
         self.n = n
         self.num_edges = len(us)
-        self._us, self._vs, self._ps = us, vs, ps
-        self._rows: tuple[dict[int, float], ...] | None = rows
+        self._us, self._vs, self._ps = edges
+        self._rows: tuple[dict[int, float], ...] | None = None
         self._labels = labels
         self._index: dict[int, int] | None = None
         self._label_names: tuple[str, ...] | None = None
 
     def edge_arrays(self) -> tuple[array, array, array]:
-        """The edges as given: endpoints us[i], vs[i] and probability
-        ps[i] of edge i, in any orientation and order.  Shared with the
+        """The edges: endpoints us[i] < vs[i] and probability ps[i] of
+        edge i, strictly ascending by (us[i], vs[i]).  Shared with the
         graph: callers must not mutate them."""
         return self._us, self._vs, self._ps
 
@@ -124,8 +117,7 @@ class UncertainGraph:
         call and kept."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = _build_rows(self.n, self._us, self._vs,
-                                            self._ps)
+            rows = self._rows = _build_rows(self.n, *self.edge_arrays())
         return rows
 
     def row(self, u: int) -> dict[int, float]:
@@ -143,9 +135,9 @@ class UncertainGraph:
         return self.row(u)[v]
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Edges as (u, v, p) with u < v, in sorted order."""
-        for u, row in enumerate(self.rows()):
-            yield from ((u, v, p) for v, p in row.items() if v > u)
+        """Edges as (u, v, p) with u < v, in sorted order, read from the
+        edge arrays."""
+        return zip(self._us, self._vs, self._ps)
 
     def label(self, u: int) -> int:
         """External 1-based label of internal index u."""
@@ -171,9 +163,12 @@ class UncertainGraph:
         return self._index[label]
 
     def select(self, keep: Iterable[bool]) -> "UncertainGraph":
-        """The graph on the same vertices and labels with the edges i, in
-        their order, for which keep, one flag per edge, is true."""
+        """The graph on the same vertices and labels with the edges i of
+        edge_arrays() for which keep, one flag per edge, is true; they
+        keep their order.  ValueError if keep has another length."""
         keep = bytes(keep)  # one byte per edge, read by each compress
+        if len(keep) != self.num_edges:
+            raise ValueError(f"{len(keep)} flags for {self.num_edges} edges")
         g = UncertainGraph.__new__(UncertainGraph)
         g._take(self.n, array("q", compress(self._us, keep)),
                 array("q", compress(self._vs, keep)),
@@ -245,29 +240,36 @@ def _edge_arrays(n: int, edges: Iterable[tuple[int, int, float]],
     return us, vs, ps
 
 
-def _edges_ok(n: int, us: array, vs: array, ps: array) -> bool | None:
-    """Whether the edges (us[i], vs[i], ps[i]) keep every graph rule,
-    checked over all of them at once, in C loops over the arrays: False
-    when one breaks a rule, True when none does, and None when only the
-    duplicate rule is left to the caller.  Duplicates in either
-    orientation share the key lo*n+hi of their endpoints lo < hi, so keys
-    that strictly ascend, as those of edges in dump_graph order do, prove
-    there are none; other keys prove nothing, and give None."""
+def _ordered(n: int, us: array, vs: array, ps: array) -> Sequence | None:
+    """The edges (us[i], vs[i], ps[i]) as (lo, hi, p), lo < hi, strictly
+    ascending by (lo, hi), or None when one breaks a graph rule; checked
+    over all of them at once, in C loops over the arrays.  Arrays already
+    in that order are returned as they are.  Duplicates in either
+    orientation share the key lo*n+hi, so ascending keys prove there are
+    none, and sorted keys show one as two equal neighbours."""
     if not us:
-        return True
+        return us, vs, ps
     if all(map(operator.lt, us, vs)):  # so no edge is a self-loop
         lo, hi = us, vs
     elif any(map(operator.eq, us, vs)):
-        return False
+        return None
     else:
         lo, hi = array("q", map(min, us, vs)), array("q", map(max, us, vs))
-    if min(lo) < 0 or max(hi) >= n:
-        return False
     # min() and max() skip a NaN after the first item; their sum does not
-    if not (0.0 < min(ps) and max(ps) <= 1.0) or math.isnan(sum(ps)):
-        return False
+    if (min(lo) < 0 or max(hi) >= n or not (0.0 < min(ps) and max(ps) <= 1.0)
+            or math.isnan(sum(ps))):
+        return None
     keys = map(operator.add, map(operator.mul, lo, repeat(n)), hi)
-    return True if all(starmap(operator.lt, pairwise(keys))) else None
+    if all(starmap(operator.lt, pairwise(keys))):
+        return lo, hi, ps
+    # The keys again, as Python ints (lo*n+hi may exceed 64 bits).  There
+    # are two at least, so take returns tuples, which arrays copy fast.
+    keys = list(map(operator.add, map(operator.mul, lo, repeat(n)), hi))
+    take = operator.itemgetter(*sorted(range(len(lo)), key=keys.__getitem__))
+    if any(starmap(operator.eq, pairwise(take(keys)))):
+        return None
+    del keys  # before the copies: the peak stays that of the sort
+    return [array(a.typecode, take(a)) for a in (lo, hi, ps)]
 
 
 def _check_each(n: int, edges: Iterable[tuple[int, int, float]],
@@ -290,7 +292,10 @@ def _check_each(n: int, edges: Iterable[tuple[int, int, float]],
 
 def _build_rows(n: int, us: array, vs: array,
                 ps: array) -> tuple[dict[int, float], ...]:
-    """The rows of the edges (us[i], vs[i], ps[i]), each ascending."""
+    """The rows of the edges (us[i], vs[i], ps[i]), in the graph's order.
+    Each row ascends as built: row u gets its neighbours below u, in
+    ascending order, from the edges before u's own, and then its
+    neighbours above u, in ascending order, from those."""
     # One int object per vertex, shared by every row that holds it as a
     # key, not one per edge end.
     ids = list(range(n))
@@ -298,12 +303,6 @@ def _build_rows(n: int, us: array, vs: array,
     for u, v, p in zip(us, vs, ps):
         rows[u][ids[v]] = p
         rows[v][ids[u]] = p
-    # A row is ascending as built when its edges came in ascending order,
-    # as dump_graph writes them.  Any other row is re-sorted alone, so no
-    # second full set of rows is ever alive.
-    for u, row in enumerate(rows):
-        if not all(map(operator.lt, row, islice(row, 1, None))):
-            rows[u] = dict(sorted(row.items()))
     return tuple(rows)
 
 
@@ -427,13 +426,14 @@ def dump_graph(g: UncertainGraph, out: TextIO) -> None:
 
     The header (which preserves isolated vertices) is emitted only when
     the labels are exactly 1..n; other graphs are written as bare edges.
-    Either way the edges come in ascending label order.
+    Either way the edges come in ascending label order, as g keeps them,
+    so no row is built.
     """
     if all(g.label(u) == u + 1 for u in range(g.n)):
         out.write(f"n {g.n}\n")
     names = g.label_names()
     out.writelines(f"{names[u]} {names[v]} {p:.17g}\n"
-                   for u in range(g.n) for v, p in g.row(u).items() if v > u)
+                   for u, v, p in g.edges())
 
 
 def prune_by_alpha(g: UncertainGraph, alpha: float) -> UncertainGraph:

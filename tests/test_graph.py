@@ -189,9 +189,13 @@ class TestUncertainGraph:
         rng = random.Random(4)
         for _ in range(5):
             rng.shuffle(edges)
-            g = UncertainGraph(7, [(v, u, p) if rng.random() < 0.5 else (u, v, p)
-                                   for u, v, p in edges])
-            assert_rows_ascending_and_symmetric(g)
+            mixed = [(v, u, p) if rng.random() < 0.5 else (u, v, p)
+                     for u, v, p in edges]
+            reversed_ = [(v, u, p) for u, v, p in edges]
+            for given in (edges, mixed, reversed_):
+                g = UncertainGraph(7, given)
+                assert_rows_ascending_and_symmetric(g)
+                assert list(zip(*g.edge_arrays())) == sorted(edges)
             assert list(g.edges()) == sorted(edges)
             assert g.num_edges == len(edges)
 
@@ -212,16 +216,25 @@ class TestUncertainGraph:
     def test_select_keeps_labels_and_edge_order_in_new_arrays(self):
         g = UncertainGraph(4, [(2, 3, 0.5), (0, 1, 0.5), (3, 0, 0.25),
                                (1, 2, 0.75)], labels=(5, 6, 7, 8))
-        h = g.select(iter([True, False, True, True]))
+        # the mask indexes the sorted order: (0,1), (0,3), (1,2), (2,3)
+        assert [a.tolist() for a in g.edge_arrays()] == \
+            [[0, 0, 1, 2], [1, 3, 2, 3], [0.5, 0.25, 0.75, 0.5]]
+        h = g.select(iter([False, True, True, True]))
         assert (h.n, h.num_edges, h.label(3)) == (4, 3, 8)
         assert [a.tolist() for a in h.edge_arrays()] == \
-            [[2, 3, 1], [3, 0, 2], [0.5, 0.25, 0.75]]
+            [[0, 1, 2], [3, 2, 3], [0.25, 0.75, 0.5]]
         assert [a.typecode for a in h.edge_arrays()] == ["q", "q", "d"]
         assert list(h.edges()) == [(0, 3, 0.25), (1, 2, 0.75), (2, 3, 0.5)]
         assert g.num_edges == 4 and h.row(1) == {2: 0.75}
         assert g.row(1) == {0: 0.5, 2: 0.75}
         assert not any(a is b for a in h.edge_arrays()
                        for b in g.edge_arrays())
+
+    @pytest.mark.parametrize("keep", [[True], [True] * 4])
+    def test_select_refuses_a_mask_of_another_length(self, keep):
+        g = UncertainGraph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+        with pytest.raises(ValueError, match=f"{len(keep)} flags for 3 edges"):
+            g.select(keep)
 
     @pytest.mark.parametrize("text, vertices, expected", [
         ("n 12\n1 2 0.5\n", (0, 3, 11), "1 4 12"),
@@ -376,6 +389,15 @@ class TestBulkChecks:
         with pytest.raises(ValueError, match="duplicate edge"):
             UncertainGraph(40, mixed + [(v, u, p)])
         assert len(calls) == 1
+
+    def test_keys_beyond_64_bits_sort(self):
+        # lo*n+hi exceeds 64 bits here; the graph allocates nothing per
+        # vertex until its rows or labels are asked for
+        g = UncertainGraph(sys.maxsize, [(1, 2, 0.5), (0, 1, 0.25)])
+        assert list(g.edges()) == [(0, 1, 0.25), (1, 2, 0.5)]
+        with pytest.raises(ValueError, match=r"duplicate edge \{3, 2\}"):
+            UncertainGraph(sys.maxsize, [(1, 2, 0.5), (0, 1, 0.25),
+                                         (2, 1, 0.5)])
 
     def test_endpoint_beyond_64_bits_is_out_of_range(self):
         with pytest.raises(ValueError) as info:

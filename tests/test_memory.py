@@ -1,13 +1,16 @@
 """Deterministic memory bounds: tracemalloc counts the bytes Python
 allocates while a BA n=2000 graph is loaded and size-filtered (the front
-end of `umc enumerate`), per input edge, and while an ER graph is
-generated, against the bytes the result keeps."""
+end of `umc enumerate`), per input edge, from a file in dump_graph order
+and from a header-less copy with shuffled labels, and while an ER graph
+is generated, against the bytes the result keeps."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
 
+from umc import graph
 from umc.algorithms import shared_neighborhood_filter
 from umc.generators import GenSpec, gen_erdos_renyi
 from umc.graph import dump_graph, load_graph
@@ -16,6 +19,9 @@ from umc.graph import dump_graph, load_graph
 # for every edge, the loaded graph kept 120 and the load peaked at 157;
 # the load and the filter together peaked at 189.  Kept as typed arrays,
 # with rows built only for the graph the filter returns: 25, 35 and 89.
+# The header-less copy with shuffled labels kept 142 and peaked at 206
+# in the filter while its rows were built at load; sorted instead, it
+# keeps 28 and peaks at 92.
 RETAINED_PER_EDGE = 30
 LOAD_PEAK_PER_EDGE = 45
 FILTER_PEAK_PER_EDGE = 115
@@ -37,21 +43,63 @@ def ba2000(tmp_path_factory):
     return path
 
 
-def test_load_and_filter_peaks(ba2000):
+@pytest.fixture(scope="module")
+def ba2000_shuffled(ba2000):
+    """ba2000 without its header, its labels shuffled by a seeded
+    permutation, so that they first appear out of order."""
+    path = ba2000.with_name("ba2000-shuffled.txt")
+    edges = [ln.split() for ln in open(ba2000) if not ln.startswith("n ")]
+    labels = sorted({int(x) for u, v, _ in edges for x in (u, v)})
+    perm = labels[:]
+    random.Random(1).shuffle(perm)
+    new = dict(zip(labels, perm))
+    with open(path, "w") as out:
+        out.writelines(f"{new[int(u)]} {new[int(v)]} {p}\n"
+                       for u, v, p in edges)
+    return path
+
+
+def load_and_filter(path):
+    """The graph loaded from path, the bytes it keeps, and the peaks of
+    the load and of its t-truss at (0.1, 4), which drops some edges."""
     gc.collect()
     tracemalloc.start()
     try:
-        g = load(ba2000)
+        g = load(path)
         retained, load_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         kept = shared_neighborhood_filter(g, 0.1, 4)
         _, filter_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert 0 < kept.num_edges < g.num_edges
+    return g, retained, load_peak, filter_peak
+
+
+def test_load_and_filter_peaks(ba2000):
+    g, retained, load_peak, filter_peak = load_and_filter(ba2000)
     m = g.num_edges
-    assert 0 < kept.num_edges < m
     assert retained <= RETAINED_PER_EDGE * m, retained / m
     assert load_peak <= LOAD_PEAK_PER_EDGE * m, load_peak / m
+    assert filter_peak <= FILTER_PEAK_PER_EDGE * m, filter_peak / m
+
+
+def test_shuffled_headerless_load_builds_no_rows(ba2000_shuffled,
+                                                 monkeypatch):
+    # Its edges do not ascend once the labels are ranked; the graph sorts
+    # them and leaves its rows to the first search, as in dump order.
+    built = []
+    real = graph._build_rows
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_build_rows", spy)
+    g, retained, _, filter_peak = load_and_filter(ba2000_shuffled)
+    m = g.num_edges
+    assert built == []
+    assert retained <= RETAINED_PER_EDGE * m, retained / m
     assert filter_peak <= FILTER_PEAK_PER_EDGE * m, filter_peak / m
 
 

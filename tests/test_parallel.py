@@ -121,9 +121,11 @@ def test_parallel_bytes_equal_serial_bytes_at_the_ceiling(case, t):
        st.integers(min_value=1, max_value=4))
 def test_search_roots(g, alpha, t):
     """A search root has enough alpha-neighbours above it to reach size t;
-    any other root emits at most its singleton, so a claim can cover it."""
+    any other root emits at most its singleton, so a claim can cover it.
+    The roots strictly ascend."""
     g = size_filter(g, alpha, t)
     roots = search_roots(g, alpha, t)
+    assert roots == sorted(set(roots))
     for u in range(g.n):
         above = [w for w, p in g.row(u).items() if w > u and p >= alpha]
         assert (u in roots) == (len(above) >= max(t - 1, 1))
