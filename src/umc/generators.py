@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from .graph import UncertainGraph, number
@@ -23,10 +22,13 @@ from .oracle import build_extremal_graph
 
 
 class DeterministicGraph(NamedTuple):
-    """Structure-only intermediate: n vertices, edges as (u, v) with u < v."""
+    """Structure-only intermediate: n vertices and the edges
+    (us[i], vs[i]), us[i] < vs[i], in draw order, as array('q')
+    endpoints, the format UncertainGraph keeps."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    us: array
+    vs: array
 
 
 def _rng(seed: int):
@@ -40,15 +42,16 @@ def gen_barabasi_albert(n: int, m_per_vertex: int, seed: int) -> DeterministicGr
     """Preferential-attachment graph: start from a clique on m+1 vertices,
     then attach each new vertex to m distinct existing vertices chosen with
     probability proportional to degree (without replacement).  Edge count
-    is C(m+1, 2) + (n - m - 1) * m, i.e. about n * m."""
+    is C(m+1, 2) + (n - m - 1) * m, i.e. about n * m.  The edges come by
+    their higher endpoint, each new vertex's in ascending order."""
     m = m_per_vertex
     if not 1 <= m < n:
         raise ValueError("need 1 <= m_per_vertex < n")
     rng = _rng(seed)
-    edges: list[tuple[int, int]] = list(combinations(range(m + 1), 2))
+    us, vs = (array("q", e) for e in zip(*combinations(range(m + 1), 2)))
     # One slot per degree unit; sampling a slot uniformly picks a vertex
     # with probability proportional to its degree.
-    slots: list[int] = [u for e in edges for u in e]
+    slots: list[int] = [u for e in zip(us, vs) for u in e]
     for v in range(m + 1, n):
         k = len(slots)
         draws = rng.integers(0, k, size=m).tolist()
@@ -56,40 +59,41 @@ def gen_barabasi_albert(n: int, m_per_vertex: int, seed: int) -> DeterministicGr
         while len(targets) < m:  # a repeat among the m draws
             targets.add(slots[int(rng.integers(0, k))])
         for u in sorted(targets):
-            edges.append((u, v))
+            us.append(u)
+            vs.append(v)
             slots.append(u)
             slots.append(v)
-    return DeterministicGraph(n, tuple(edges))
+    return DeterministicGraph(n, us, vs)
 
 
 def gen_erdos_renyi(n: int, density: float, seed: int) -> DeterministicGraph:
-    """Each vertex pair is an edge independently with probability density."""
+    """Each vertex pair is an edge independently with probability density.
+    The edges come in ascending (u, v) order."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
-    edges: list[tuple[int, int]] = []
+    us, vs = array("q"), array("q")
     # Row u holds the pairs (u, u+1) .. (u, n-1), in the order of the pairs
     # of combinations(range(n), 2); only the hits are kept.
     for u in range(n - 1):
         hits = (rng.random(n - 1 - u) < density).nonzero()[0] + (u + 1)
-        edges.extend((u, v) for v in hits.tolist())
-    return DeterministicGraph(n, tuple(edges))
+        us.extend(repeat(u, len(hits)))
+        vs.extend(hits.tolist())
+    return DeterministicGraph(n, us, vs)
 
 
 def assign_uniform_probabilities(g: DeterministicGraph, seed: int) -> UncertainGraph:
     """Give every edge an independent probability uniform on (0, 1].
 
     Drawn as 1 - u with u in [0, 1) so the endpoint 0 is excluded and 1 is
-    attainable, matching the probability codomain.
+    attainable, matching the probability codomain.  g's endpoint arrays
+    are handed over to the graph: taken without a copy when they already
+    ascend (ER), sorted once into new arrays when not (BA).
     """
-    # The graph takes typed arrays, built in C loops: no (u, v, p) triple
-    # is made, and the draws are copied as the doubles they are.
-    ps = array("d", (1.0 - _rng(seed).random(len(g.edges))).tobytes())
-    us = array("q", map(itemgetter(0), g.edges))
-    vs = array("q", map(itemgetter(1), g.edges))
-    return UncertainGraph.from_arrays(g.n, us, vs, ps)
+    ps = array("d", (1.0 - _rng(seed).random(len(g.us))).tobytes())
+    return UncertainGraph.from_arrays(g.n, g.us, g.vs, ps)
 
 
 def coauthor_probability(c: int) -> float:

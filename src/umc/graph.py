@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from array import array
-from itertools import chain, compress, pairwise, repeat, starmap
+from itertools import compress, pairwise, repeat, starmap
 from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, TextIO
 
 
@@ -59,12 +59,14 @@ class UncertainGraph:
     that race on a first build each build the same result and one of them
     is kept, so instances are safe to share across threads.
 
-    The constructor, from_arrays and select share the one place that
-    enforces the graph rules: each endpoint in 0..n-1, no self-loop, p in
-    (0, 1] and no edge given twice.  It checks all the edges at once, and
-    sorts them when they do not already ascend.  Only when these checks
-    find a fault does it go through the edges one by one, as given, so
-    that its ValueError names the first faulty edge.
+    The constructor reads its (u, v, p) triples from any iterable, once,
+    and converts them into the three arrays in one pass; from_arrays takes
+    the arrays themselves.  The constructor, from_arrays and select share
+    the one place that enforces the graph rules: each endpoint in 0..n-1,
+    no self-loop, p in (0, 1] and no edge given twice.  It checks all the
+    edges at once, and sorts them when they do not already ascend.  Only
+    when these checks find a fault does it go through the edges one by
+    one, as given, so that its ValueError names the first faulty edge.
     The messages name the external labels, which must strictly ascend with
     the index (default 1..n); they are never re-sorted, as that would
     renumber the caller's vertices.
@@ -76,7 +78,18 @@ class UncertainGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]],
                  labels: Iterable[int] | None = None):
         lab = _checked_labels(n, labels)
-        self._take(n, *_edge_arrays(n, edges, lab), lab)
+        edges = list(edges)
+        try:
+            us = array("q", [u for u, _, _ in edges])
+            vs = array("q", [v for _, v, _ in edges])
+            ps = array("d", [p for _, _, p in edges])
+        except (TypeError, OverflowError):
+            # A value no array holds (an endpoint beyond 64 bits, say):
+            # the first edge that breaks a graph rule is named if there is
+            # one, else the array's own error is raised.
+            _check_each(n, edges, lab)
+            raise
+        self._take(n, us, vs, ps, lab)
 
     @classmethod
     def from_arrays(cls, n: int, us: array, vs: array, ps: array,
@@ -218,26 +231,6 @@ class _EdgeFault(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
-
-
-def _edge_arrays(n: int, edges: Iterable[tuple[int, int, float]],
-                 labels: Sequence[int]) -> tuple[array, array, array]:
-    """edges as the three arrays UncertainGraph keeps.  An edge that no
-    array can hold (an endpoint beyond 64 bits, say) is passed to
-    _check_each with the edges before it, to be named as the first fault
-    if it breaks a graph rule; the array's own error is raised if not."""
-    us, vs, ps = array("q"), array("q"), array("d")
-    add_u, add_v, add_p = us.append, vs.append, ps.append
-    it = iter(edges)
-    for u, v, p in it:
-        try:
-            add_u(u)
-            add_v(v)
-            add_p(p)
-        except (TypeError, OverflowError):
-            _check_each(n, chain(zip(us, vs, ps), [(u, v, p)], it), labels)
-            raise
-    return us, vs, ps
 
 
 def _ordered(n: int, us: array, vs: array, ps: array) -> Sequence | None:

@@ -1,6 +1,7 @@
 """Generator tests: statistical shape, determinism, validation, and the
 batched draws against one-value-per-call references."""
 
+import hashlib
 import io
 import math
 from itertools import combinations
@@ -47,6 +48,11 @@ def reference_erdos_renyi(n, density, seed):
     return tuple(p for p, keep in zip(pairs, mask) if keep)
 
 
+def pairs(g):
+    """A DeterministicGraph's edges as (u, v) tuples, in draw order."""
+    return tuple(zip(g.us, g.vs))
+
+
 def reference_dump(g, out):
     """dump_graph with one write and two label lookups per edge."""
     if all(g.label(u) == u + 1 for u in range(g.n)):
@@ -60,20 +66,21 @@ class TestBarabasiAlbert:
         g = gen_barabasi_albert(5000, 10, seed=0)
         assert g.n == 5000
         # seed clique C(11,2) plus 10 per later vertex
-        assert len(g.edges) == 55 + (5000 - 11) * 10
+        assert len(g.us) == 55 + (5000 - 11) * 10
 
     def test_m1_gives_tree(self):
         g = gen_barabasi_albert(3, 1, seed=0)
-        assert len(g.edges) == 2
+        assert len(g.us) == 2
 
     def test_seed_determinism(self):
-        assert gen_barabasi_albert(200, 5, seed=9).edges == \
-            gen_barabasi_albert(200, 5, seed=9).edges
+        assert pairs(gen_barabasi_albert(200, 5, seed=9)) == \
+            pairs(gen_barabasi_albert(200, 5, seed=9))
 
     def test_simple_graph(self):
         g = gen_barabasi_albert(300, 7, seed=4)
-        assert len(set(g.edges)) == len(g.edges)
-        assert all(u < v < g.n for u, v in g.edges)
+        assert len(set(pairs(g))) == len(g.us) == len(g.vs)
+        assert all(u < v < g.n for u, v in pairs(g))
+        assert g.us.typecode == g.vs.typecode == "q"
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
@@ -86,32 +93,32 @@ class TestBarabasiAlbert:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     def test_sized_draws_match_scalar_draws(self, n, m, seed):
         expected, repeats = reference_barabasi_albert(n, m, seed)
-        assert gen_barabasi_albert(n, m, seed).edges == expected
+        assert pairs(gen_barabasi_albert(n, m, seed)) == expected
         assert (repeats > 0) == (m > 1)
 
 
 class TestErdosRenyi:
     def test_density_one_is_complete(self):
         g = gen_erdos_renyi(8, 1.0, seed=0)
-        assert len(g.edges) == 28
+        assert len(g.us) == 28
 
     def test_density_zero_is_edgeless(self):
-        assert gen_erdos_renyi(8, 0.0, seed=0).edges == ()
+        assert pairs(gen_erdos_renyi(8, 0.0, seed=0)) == ()
 
     def test_expected_edge_count(self):
-        counts = [len(gen_erdos_renyi(12, 0.5, seed=s).edges) for s in range(50)]
+        counts = [len(gen_erdos_renyi(12, 0.5, seed=s).us) for s in range(50)]
         # binomial(66, 0.5): mean 33, sd ~4; the mean of 50 draws stays close
         assert abs(np.mean(counts) - 33) < 3
 
     def test_seed_determinism(self):
-        assert gen_erdos_renyi(30, 0.4, seed=2).edges == \
-            gen_erdos_renyi(30, 0.4, seed=2).edges
+        assert pairs(gen_erdos_renyi(30, 0.4, seed=2)) == \
+            pairs(gen_erdos_renyi(30, 0.4, seed=2))
 
     @pytest.mark.parametrize("n", [1, 2, 40, 300])
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_row_draws_match_all_pairs_draw(self, n, density, seed):
-        assert gen_erdos_renyi(n, density, seed).edges == \
+        assert pairs(gen_erdos_renyi(n, density, seed)) == \
             reference_erdos_renyi(n, density, seed)
 
 
@@ -130,10 +137,32 @@ class TestDumpGraph:
         assert new.getvalue() == old.getvalue()
 
 
+# The bytes `umc generate` writes for these specs; ba:n=10000,m=10,seed=7
+# is the input of the ba-large benchmark workload.
+GENERATED_SHA256 = {
+    "ba:n=2000,m=10,seed=1":
+        "a9985875aab6c108b1251f411eb9765277e6673dca86ba8093fe967a70c0f49b",
+    "er:n=400,density=0.01,seed=3":
+        "3956043da93866dc7f70cf50327abac397d893e6f5a78ed126365828a2e9d0c5",
+    "extremal:n=16,alpha=0.5":
+        "c3eee381af16db06e96f0cd81ad024b272ba9bc177ef0e947b1bf03f609faa24",
+    "ba:n=10000,m=10,seed=7":
+        "248edcf4fa5db89ecb98f032e35cd5923971a65d8ef5afd25f74f053691162a7",
+}
+
+
+@pytest.mark.parametrize("spec", GENERATED_SHA256)
+def test_generated_bytes_are_pinned(spec):
+    out = io.StringIO()
+    dump_graph(GenSpec.parse(spec).build(), out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == GENERATED_SHA256[spec]
+
+
 class TestProbabilityAssignment:
     def test_uniform_range_and_mean(self):
         g = gen_erdos_renyi(500, 0.8, seed=1)
-        assert len(g.edges) > 90_000
+        assert len(g.us) > 90_000
         ug = assign_uniform_probabilities(g, seed=2)
         probs = [p for _, _, p in ug.edges()]
         assert all(0.0 < p <= 1.0 for p in probs)
@@ -144,6 +173,14 @@ class TestProbabilityAssignment:
         a = assign_uniform_probabilities(g, seed=4)
         b = assign_uniform_probabilities(g, seed=4)
         assert list(a.edges()) == list(b.edges())
+
+    def test_endpoint_arrays_are_handed_to_the_graph(self):
+        er = gen_erdos_renyi(40, 0.3, seed=1)
+        us, vs, _ = assign_uniform_probabilities(er, seed=2).edge_arrays()
+        assert us is er.us and vs is er.vs
+        ba = gen_barabasi_albert(40, 3, seed=1)
+        us, vs, _ = assign_uniform_probabilities(ba, seed=2).edge_arrays()
+        assert list(zip(us, vs)) == sorted(pairs(ba))
 
     @pytest.mark.parametrize("spec", ["ba:n=300,m=5,seed=3",
                                       "er:n=30,density=0.5,seed=3"])

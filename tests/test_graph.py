@@ -404,6 +404,24 @@ class TestBulkChecks:
             UncertainGraph(3, [(0, 1, 0.5), (1, 2**70, 0.5)])
         assert str(info.value) == f"edge endpoint out of range: (1, {2**70})"
 
+    @pytest.mark.parametrize("edges, error, message", [
+        # the first fault is named before an endpoint no array holds
+        ([(1, 1, 0.5), (0, 2**70, 0.5)], ValueError, "self-loop at vertex 2"),
+        ([(0, 1)], ValueError, "not enough values to unpack"),
+        ([(0, 1, "x")], TypeError, "not supported between"),
+    ], ids=["self-loop-then-endpoint-beyond-64-bits", "two-item-edge",
+            "str-probability"])
+    def test_malformed_edges_keep_their_errors(self, edges, error, message):
+        with pytest.raises(error, match=message):
+            UncertainGraph(3, edges)
+
+    def test_iterator_of_edges_is_taken_in_one_pass_and_sorted(self):
+        given = [(2, 3, 0.5), (1, 0, 0.25), (3, 0, 0.75), (1, 2, 1.0)]
+        g = UncertainGraph(4, (e for e in given))
+        assert list(g.edges()) == [(0, 1, 0.25), (0, 3, 0.75), (1, 2, 1.0),
+                                   (2, 3, 0.5)]
+        assert g.num_edges == 4
+
 
 class TestPruneByAlpha:
     def test_threshold(self):
@@ -431,13 +449,13 @@ def test_derived_graphs_select_from_the_parent_arrays(monkeypatch):
     g = GenSpec("ba", n=300, m=5, seed=1).build()
     alpha_edges = [e for e in g.edges() if e[2] >= 0.3]
     calls = []
-    real = graph._edge_arrays
+    real = UncertainGraph.__init__
 
-    def spy(*args):
+    def spy(self, *args, **kwargs):
         calls.append(args)
-        return real(*args)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(graph, "_edge_arrays", spy)
+    monkeypatch.setattr(UncertainGraph, "__init__", spy)
     pruned = prune_by_alpha(g, 0.3)
     truss = shared_neighborhood_filter(g, 0.3, 3)
     assert calls == []

@@ -1,8 +1,9 @@
 """Deterministic memory bounds: tracemalloc counts the bytes Python
 allocates while a BA n=2000 graph is loaded and size-filtered (the front
 end of `umc enumerate`), per input edge, from a file in dump_graph order
-and from a header-less copy with shuffled labels, and while an ER graph
-is generated, against the bytes the result keeps."""
+and from a header-less copy with shuffled labels; while an ER graph is
+generated, against the bytes the result keeps and per edge; and while a
+BA graph is built, per edge."""
 
 import gc
 import random
@@ -28,6 +29,13 @@ FILTER_PEAK_PER_EDGE = 115
 # 107 when every pair of C(3000, 2) was listed and masked at once (330 MB
 # for 45k edges); 1.09 with one row of draws at a time.
 ER_PEAK_BOUND = 1.5
+# Bytes per edge at the peak of gen_erdos_renyi(3000, 0.01) and of
+# building BA n=2000, m=10 with its probabilities: 107 and 188 when the
+# generators listed their edges as (u, v) tuples; 17 and 121 drawn into
+# the typed endpoint arrays the graph keeps.  Most of BA's peak is the
+# sort of its edges into the graph's order.
+ER_PEAK_PER_EDGE = 24
+BA_BUILD_PEAK_PER_EDGE = 140
 
 
 def load(path):
@@ -103,14 +111,29 @@ def test_shuffled_headerless_load_builds_no_rows(ba2000_shuffled,
     assert filter_peak <= FILTER_PEAK_PER_EDGE * m, filter_peak / m
 
 
-def test_erdos_renyi_peak():
-    gen_erdos_renyi(10, 0.5, seed=0)  # numpy's import is not the generator's
+def traced(build):
+    """build()'s result, the bytes it keeps and the peak while it ran."""
     gc.collect()
     tracemalloc.start()
     try:
-        g = gen_erdos_renyi(3000, 0.01, seed=1)
+        result = build()
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 40_000 < len(g.edges) < 50_000
+    return result, retained, peak
+
+
+def test_erdos_renyi_peak():
+    gen_erdos_renyi(10, 0.5, seed=0)  # numpy's import is not the generator's
+    g, retained, peak = traced(lambda: gen_erdos_renyi(3000, 0.01, seed=1))
+    m = len(g.us)
+    assert 40_000 < m < 50_000
     assert peak <= ER_PEAK_BOUND * retained, peak / retained
+    assert peak <= ER_PEAK_PER_EDGE * m, peak / m
+
+
+def test_barabasi_albert_build_peak():
+    GenSpec("ba", n=20, m=2, seed=0).build()  # nor is it the graph's
+    g, _, peak = traced(GenSpec("ba", n=2000, m=10, seed=1).build)
+    m = g.num_edges
+    assert peak <= BA_BUILD_PEAK_PER_EDGE * m, peak / m
