@@ -1,7 +1,8 @@
 """Command-line front end: enumerate, verify, generate, bench.
 
 Exit codes: 0 success, 1 verification failure, a failed search worker or a
-closed output pipe, 2 usage/validation error or an output write error.
+closed output pipe, 2 usage/validation error, an output write error or
+running out of memory.
 The default seed is 0, overridable via the UMC_SEED environment variable
 or per-command --seed flags.
 
@@ -88,8 +89,11 @@ def _load_file(path: str, prob_model: str) -> UncertainGraph:
         from .generators import coauthor_prob_parser as parser
     else:
         parser = float
+    # Graph and clique files are ASCII.  A byte outside it reads as a lone
+    # surrogate, so a comment may hold any bytes while any other line
+    # fails the loaders' isascii() checks, which give its line number.
     try:
-        with open(path) as fh:
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
             return load_graph(fh, prob_parser=parser)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
@@ -176,7 +180,7 @@ def _parse_clique_file(g: UncertainGraph, path: str):
     stream.  The whole file is read before any line is checked, so a
     malformed line stops verify before it prints a verdict."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="ascii", errors="surrogateescape")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     entries = []
@@ -209,15 +213,19 @@ def _parse_clique_file(g: UncertainGraph, path: str):
 
 
 def cmd_verify(args) -> int:
-    from .oracle import BRUTE_FORCE_MAX_N, brute_force_enumerate
+    from .oracle import exact_enumerate
 
     alpha = _check_alpha_arg(args.alpha)
     g = _load_file(args.input, args.prob_model)
-    if args.complete and g.n > BRUTE_FORCE_MAX_N:
-        raise UsageError(f"--complete requires n <= {BRUTE_FORCE_MAX_N}")
+    entries = _parse_clique_file(g, args.cliques)
+    if args.complete:  # a refusal, like a malformed line, precedes any verdict
+        try:
+            expected = exact_enumerate(g, alpha).vertex_sets()
+        except ValueError as exc:
+            raise UsageError(f"--complete: {exc}")
     failures = 0
     seen: set[tuple[int, ...]] = set()
-    for line_no, prob, verts in _parse_clique_file(g, args.cliques):
+    for line_no, prob, verts in entries:
         names = [g.label(v) for v in verts]
         if verts in seen:
             print(f"DUPLICATE line {line_no}: {names}")
@@ -234,7 +242,6 @@ def cmd_verify(args) -> int:
                   f"stated {prob!r} actual {exact!r}")
             failures += 1
     if args.complete:
-        expected = brute_force_enumerate(g, alpha).vertex_sets()
         for verts in sorted(expected - seen):
             print(f"MISSING: {[g.label(v) for v in verts]}")
             failures += 1
@@ -354,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--prob-model", choices=["prob", "coauthor"],
                        default="prob")
     p_ver.add_argument("--complete", action="store_true",
-                       help="also brute-force and report missing/extra cliques")
+                       help="also enumerate the graph exactly and report "
+                       "missing/extra cliques")
     p_ver.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="write a synthetic graph file")
@@ -397,6 +405,9 @@ def main(argv=None) -> int:
     except parallel.WorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
-"""Independent reference machinery: a brute-force enumerator over all
-subsets, the combinatorial ceiling on output size, the extremal complete
-graph achieving that ceiling, and a Monte-Carlo estimator of clique
-probability under possible-worlds sampling.
+"""Independent reference machinery: an exact enumerator of the
+alpha-maximal cliques, the combinatorial ceiling on output size, and the
+extremal complete graph achieving that ceiling.
 
 Nothing here shares code with the incremental enumerators beyond the
 graph container and the direct product formula.
@@ -10,18 +9,14 @@ graph container and the direct product formula.
 from __future__ import annotations
 
 import math
-import random
-from itertools import combinations
+from itertools import combinations, count
 from typing import NamedTuple
 
-from .graph import (
-    UncertainGraph,
-    check_alpha,
-    clique_probability,
-    clique_probability_or_none,
-)
+from .graph import UncertainGraph, check_alpha, clique_probability
 
-BRUTE_FORCE_MAX_N = 25
+# exact_enumerate refuses a graph with more alpha-cliques than this:
+# K20 at alpha = 0.5 has 616,665, K22 has 2,449,867.
+MAX_VISITS = 10 ** 6
 
 
 class OracleResult(NamedTuple):
@@ -36,27 +31,53 @@ class OracleResult(NamedTuple):
         return {verts for verts, _ in self.cliques}
 
 
-def brute_force_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
-    """Test every nonempty subset, keep the alpha-cliques, and of those
-    the maximal ones: the ones no single vertex extends to another
-    alpha-clique, which suffices by subset monotonicity.  Definitionally
-    correct; exponential; refuses n > 25."""
+def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
+    """The alpha-maximal cliques of g, with "q >= alpha" decided on the
+    exact product of the binary64 edge probabilities.
+
+    Only edges with p >= alpha can lie in an alpha-clique.  From each
+    vertex, a depth-first search extends each alpha-clique by its larger
+    common alpha-neighbours, each carrying the exact product of its edges
+    into the clique; a neighbour that fails leaves the subtree, since no
+    superset passes where a subset fails.  A clique is maximal when no
+    common alpha-neighbour, earlier ones included, extends it.  Past
+    MAX_VISITS alpha-cliques it raises ValueError.  Probabilities are
+    clique_probability's float products, as verify states them.
+    """
     check_alpha(alpha)
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {g.n}")
-    alpha_cliques: dict[tuple[int, ...], float] = {}
-    for size in range(1, g.n + 1):
-        before = len(alpha_cliques)
-        for combo in combinations(range(g.n), size):
-            q = clique_probability_or_none(g, combo)
-            if q is not None and q >= alpha:
-                alpha_cliques[combo] = q
-        if len(alpha_cliques) == before:
-            break  # no alpha-clique of this size, so none larger
-    kept = [(combo, q) for combo, q in alpha_cliques.items()
-            if not any(tuple(sorted(combo + (v,))) in alpha_cliques
-                       for v in range(g.n) if v not in combo)]
-    return OracleResult(tuple(sorted(kept)))
+    # A binary64 value is num / den with den a power of two, kept here as
+    # its exponent, so "num * a_den >= a_num * den" is a test of shifts.
+    a_num, a_den = alpha.as_integer_ratio()
+    a_exp = a_den.bit_length() - 1
+    nbrs: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
+    for u, v, p in g.edges():
+        if p >= alpha:
+            num, den = p.as_integer_ratio()
+            nbrs[u][v] = nbrs[v][u] = (num, den.bit_length() - 1)
+    kept: list[tuple[int, ...]] = []
+    visits = count(1)
+
+    def grow(clique, num, exp, cands):
+        if next(visits) > MAX_VISITS:
+            raise ValueError(f"more than {MAX_VISITS} alpha-cliques to visit")
+        ext = {}
+        for w, (f_num, f_exp) in cands.items():
+            q_num, q_exp = num * f_num, exp + f_exp
+            if q_num << a_exp >= a_num << q_exp:
+                ext[w] = (q_num, q_exp)
+        if not ext:
+            kept.append(clique)
+        for w in sorted(ext):
+            if w > clique[-1]:
+                row = nbrs[w]
+                grow(clique + (w,), *ext[w],
+                     {x: (cands[x][0] * row[x][0], cands[x][1] + row[x][1])
+                      for x in row.keys() & ext.keys()})
+
+    for v in range(g.n):
+        grow((v,), 1, 0, nbrs[v])
+    return OracleResult(tuple(sorted((c, clique_probability(g, c))
+                                     for c in kept)))
 
 
 def max_clique_count_bound(n: int) -> int:
@@ -100,25 +121,3 @@ def build_extremal_graph(n: int, alpha: float) -> UncertainGraph:
             f"rounding band {band:.2g}")
     edges = [(u, v, q) for u, v in combinations(range(n), 2)]
     return UncertainGraph(n, edges)
-
-
-def estimate_clique_probability(g: UncertainGraph, c, samples: int,
-                                seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo estimate of the clique probability of c: the fraction
-    of sampled possible worlds (each edge drawn independently) in which all
-    internal edges of c appear.  Returns (estimate, standard error)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    clique_probability(g, c)  # raises NotACliqueError if not a clique
-    probs = [g.row(u)[v] for u, v in combinations(sorted(set(c)), 2)]
-    rand = random.Random(seed).random
-    hits = 0
-    for _ in range(samples):
-        for p in probs:
-            if rand() >= p:
-                break  # this edge is absent from the sampled world
-        else:
-            hits += 1
-    est = hits / samples
-    stderr = math.sqrt(est * (1.0 - est) / samples)
-    return est, stderr

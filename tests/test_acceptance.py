@@ -26,10 +26,10 @@ from umc.algorithms import dfs_noip, large_mule, mule
 from umc.cli import main
 from umc.generators import assign_uniform_probabilities, gen_barabasi_albert, gen_erdos_renyi
 from umc.graph import clique_probability, prune_by_alpha
+from montecarlo import estimate_clique_probability
 from umc.oracle import (
-    brute_force_enumerate,
     build_extremal_graph,
-    estimate_clique_probability,
+    exact_enumerate,
     max_clique_count_bound,
 )
 
@@ -57,7 +57,7 @@ def corpus():
                     label = f"er(n={n},d={density},seed={seed}),alpha={alpha}"
                     out = []
                     mule(prune_by_alpha(g, alpha), alpha, out.append)
-                    oracle = brute_force_enumerate(g, alpha)
+                    oracle = exact_enumerate(g, alpha)
                     cells.append((label, g, alpha, out, oracle))
     return cells
 

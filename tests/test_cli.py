@@ -13,6 +13,7 @@ import pytest
 
 import umc
 import umc.cli
+import umc.oracle
 from umc.cli import main
 from umc.generators import GenSpec
 from umc.graph import dump_graph, load_graph, prune_by_alpha
@@ -197,19 +198,32 @@ class TestVerify:
         assert rc == 1
         assert capsys.readouterr().out.count("PROBABILITY MISMATCH") == 2
 
-    def test_complete_refuses_large_graph_before_checking(self, tmp_path,
-                                                          capsys):
+    @pytest.fixture
+    def er30(self, tmp_path, capsys):
         g = tmp_path / "er30.txt"
         main(["generate", "--family", "er", "--n", "30", "--density", "0.5",
               "--seed", "1", "--out", str(g)])
         singleton = tmp_path / "c.txt"
         singleton.write_text("1 1\n")  # not maximal: 1 has neighbours
         capsys.readouterr()
-        rc = main(["verify", "--input", str(g), "--cliques", str(singleton),
-                   "--alpha", "0.5", "--complete"])
-        assert rc == 2
-        assert capsys.readouterr().out == ""
+        return ["verify", "--input", str(g), "--cliques", str(singleton),
+                "--alpha", "0.5", "--complete"]
 
+    def test_complete_checks_a_graph_beyond_25_vertices(self, er30, capsys):
+        assert main(er30) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "NOT ALPHA-MAXIMAL line 1: [1]"
+        assert out[1].startswith("MISSING: ")
+        assert len(out) > 2
+
+    def test_complete_refusal_precedes_any_verdict(self, er30, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(umc.oracle, "MAX_VISITS", 30)
+        assert main(er30) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --complete: more than 30 alpha-cliques "
+                       "to visit\n")
 
     def test_malformed_later_line_stops_before_any_verdict(
             self, path_graph, tmp_path, capsys):
@@ -449,6 +463,60 @@ def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_a_comment_may_hold_any_byte(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"# caf\xe9\n1 2 0.5\n")
+    assert main(["enumerate", "--input", str(f), "--alpha", "0.5"]) == 0
+    assert capsys.readouterr().out == "0.5 1 2\n"
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("g.txt", b"1 2 0.9\n2 3 0.\xe98\n",
+     "g.txt: line 2: '_' or non-ASCII character"),
+    ("c.txt", b"0.9 1 2\n0.8 2 \xe93\n", "c.txt:2: malformed clique line"),
+], ids=["graph", "cliques"])
+def test_a_non_ascii_byte_outside_a_comment_exits_2(path_graph, tmp_path,
+                                                   capsys, name, data,
+                                                   message):
+    f = tmp_path / name
+    f.write_bytes(data)
+    files = {"g.txt": (f, path_graph), "c.txt": (path_graph, f)}[name]
+    assert main(["verify", "--input", str(files[0]), "--cliques",
+                 str(files[1]), "--alpha", "0.75"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {tmp_path / message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--input", "--cliques"])
+def test_random_bytes_exit_2_without_traceback(path_graph, tmp_path, capsys,
+                                               flag):
+    noise = tmp_path / "noise.bin"
+    noise.write_bytes(random.Random(2000).randbytes(2000))
+    files = {"--input": path_graph, "--cliques": path_graph, flag: noise}
+    assert main(["verify", "--input", str(files["--input"]), "--cliques",
+                 str(files["--cliques"]), "--alpha", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {noise}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_out_of_memory_exits_2_with_one_line():
+    """/dev/zero is one endless line.  The child caps its own address space
+    (256 MB, and so its memory use), so reading the line runs it out of
+    memory quickly."""
+    code = ("import resource, sys; from umc.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "sys.exit(main(['enumerate', '--input', '/dev/zero', "
+            "'--alpha', '0.5']))")
+    src = str(Path(umc.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
 
 
 def test_commands_without_random_draws_run_without_numpy(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the brute-force reference, the output-count ceiling, the
+"""Tests for the exact reference enumerator, the output-count ceiling, the
 extremal construction, and the Monte-Carlo estimator."""
 
 import io
@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from montecarlo import estimate_clique_probability
+from umc import oracle
 from umc.graph import NotACliqueError, UncertainGraph, load_graph
 from umc.oracle import (
-    brute_force_enumerate,
     build_extremal_graph,
-    estimate_clique_probability,
+    exact_enumerate,
     max_clique_count_bound,
 )
 
@@ -25,32 +26,46 @@ def parse(text):
 
 class TestBruteForce:
     def test_path_graph(self):
-        res = brute_force_enumerate(parse("1 2 0.9\n2 3 0.8\n"), 0.75)
+        res = exact_enumerate(parse("1 2 0.9\n2 3 0.8\n"), 0.75)
         assert res.vertex_sets() == {(0, 1), (1, 2)}
         assert dict(res.cliques)[(0, 1)] == pytest.approx(0.9)
 
     def test_extremal_k4(self):
-        res = brute_force_enumerate(build_extremal_graph(4, 0.5), 0.5)
+        res = exact_enumerate(build_extremal_graph(4, 0.5), 0.5)
         assert len(res.cliques) == 6
         assert all(len(v) == 2 for v, _ in res.cliques)
 
     def test_single_vertex(self):
-        res = brute_force_enumerate(UncertainGraph(1, []), 0.5)
+        res = exact_enumerate(UncertainGraph(1, []), 0.5)
         assert res.vertex_sets() == {(0,)}
 
-    def test_refuses_large_n(self):
-        with pytest.raises(ValueError):
-            brute_force_enumerate(UncertainGraph(26, []), 0.5)
+    def test_refuses_past_visit_bound(self, monkeypatch):
+        # n does not matter: 26 isolated vertices are 26 alpha-cliques.
+        # K8 at alpha = 0.5 has C(8,1) + ... + C(8,4) = 162.
+        assert len(exact_enumerate(UncertainGraph(26, []), 0.5).cliques) == 26
+        g = build_extremal_graph(8, 0.5)
+        monkeypatch.setattr(oracle, "MAX_VISITS", 162)
+        assert len(exact_enumerate(g, 0.5).cliques) == math.comb(8, 4)
+        monkeypatch.setattr(oracle, "MAX_VISITS", 161)
+        with pytest.raises(ValueError, match="more than 161 alpha-cliques"):
+            exact_enumerate(g, 0.5)
+
+    def test_triangle_decided_on_the_exact_product(self):
+        # 0.6 * 0.2 * 0.7 lies 9.0e-18 below 0.084 in exact arithmetic
+        # over the binary64 inputs, so each edge is alpha-maximal.
+        res = exact_enumerate(parse("1 2 0.6\n1 3 0.2\n2 3 0.7\n"), 0.084)
+        assert res.vertex_sets() == {(0, 1), (0, 2), (1, 2)}
+        assert dict(res.cliques)[(1, 2)] == 0.7
 
     def test_output_is_non_redundant(self):
         g = parse("1 2 0.9\n2 3 0.9\n1 3 0.9\n3 4 0.9\n")
-        sets = [frozenset(v) for v, _ in brute_force_enumerate(g, 0.5).cliques]
+        sets = [frozenset(v) for v, _ in exact_enumerate(g, 0.5).cliques]
         for a in sets:
             for b in sets:
                 assert a == b or not a < b
 
     def test_canonical_order(self):
-        res = brute_force_enumerate(parse("1 2 0.9\n2 3 0.8\n"), 0.75)
+        res = exact_enumerate(parse("1 2 0.9\n2 3 0.8\n"), 0.75)
         assert list(res.cliques) == sorted(res.cliques)
 
     def test_extremal_n18_in_a_minute(self):
@@ -62,7 +77,7 @@ class TestBruteForce:
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         script = ("from umc import oracle\n"
                   "g = oracle.build_extremal_graph(18, 0.5)\n"
-                  "print(len(oracle.brute_force_enumerate(g, 0.5).cliques))\n")
+                  "print(len(oracle.exact_enumerate(g, 0.5).cliques))\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.stdout.split() == [str(math.comb(18, 9))]

@@ -1,10 +1,13 @@
-"""Property-based tests over random small uncertain graphs: the
-brute-force oracle is the ground truth for every enumerator."""
+"""Property-based tests over random small uncertain graphs: the exact
+reference enumerator is the ground truth for every enumerator, and a
+brute force over all subsets with Fraction products is its own."""
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from umc.algorithms import (
     dfs_noip,
@@ -19,7 +22,7 @@ from umc.graph import (
     is_alpha_maximal,
     prune_by_alpha,
 )
-from umc.oracle import brute_force_enumerate, max_clique_count_bound
+from umc.oracle import exact_enumerate, max_clique_count_bound
 
 
 @st.composite
@@ -43,17 +46,49 @@ def run(fn, g, alpha, *args):
     return out
 
 
+def exact_clique_products(g):
+    """Every clique of g with its product as a Fraction, exact over the
+    binary64 inputs."""
+    products = {}
+    for size in range(1, g.n + 1):
+        for combo in combinations(range(g.n), size):
+            pairs = list(combinations(combo, 2))
+            if all(v in g.row(u) for u, v in pairs):
+                products[combo] = math.prod(
+                    (Fraction(g.row(u)[v]) for u, v in pairs), start=1)
+    return products
+
+
+@st.composite
+def graphs_with_alphas(draw):
+    """A graph and an alpha from `alphas` or, as often, the binary64
+    nearest to one of its cliques' exact products."""
+    g = draw(uncertain_graphs())
+    products = sorted(exact_clique_products(g).values())
+    return g, draw(st.one_of(alphas, st.sampled_from(products).map(float)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_alphas())
+@example((UncertainGraph(3, [(0, 1, 0.6), (0, 2, 0.2), (1, 2, 0.7)]), 0.084))
+def test_exact_enumerate_matches_fraction_brute_force(case):
+    g, alpha = case
+    kept = {c for c, q in exact_clique_products(g).items() if q >= alpha}
+    maximal = {c for c in kept if not any(set(c) < set(d) for d in kept)}
+    assert exact_enumerate(g, alpha).vertex_sets() == maximal
+
+
 @settings(max_examples=60, deadline=None)
 @given(uncertain_graphs(), alphas)
 def test_mule_matches_oracle(g, alpha):
     got = {c.vertices for c in run(mule, g, alpha)}
-    assert got == brute_force_enumerate(g, alpha).vertex_sets()
+    assert got == exact_enumerate(g, alpha).vertex_sets()
 
 
 @settings(max_examples=60, deadline=None)
 @given(uncertain_graphs(max_n=9), alphas)
 def test_oracle_keeps_alpha_cliques_without_alpha_supersets(g, alpha):
-    """The oracle's one-vertex extension test against the definition: an
+    """The oracle's maximality test against the definition: an
     alpha-clique is maximal iff no alpha-clique is a proper superset."""
     found = {}
     for size in range(1, g.n + 1):
@@ -63,7 +98,7 @@ def test_oracle_keeps_alpha_cliques_without_alpha_supersets(g, alpha):
                 found[frozenset(combo)] = (combo, q)
     maximal = sorted(found[c] for c in found
                      if not any(c < other for other in found))
-    assert brute_force_enumerate(g, alpha).cliques == tuple(maximal)
+    assert exact_enumerate(g, alpha).cliques == tuple(maximal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +171,7 @@ def test_filter_is_the_t_truss_of_the_alpha_subgraph(g, alpha, t):
     for u, v, p in kept.edges():
         assert p >= alpha and p == g.edge_prob(u, v)
         assert len(kept.adj_set(u) & kept.adj_set(v)) >= t - 2
-    for verts in brute_force_enumerate(g, alpha).vertex_sets():
+    for verts in exact_enumerate(g, alpha).vertex_sets():
         if len(verts) >= t:
             assert all(v in kept.row(u) for u, v in combinations(verts, 2))
 
@@ -213,7 +248,7 @@ def test_dfs_noip_applies_the_size_threshold(g, alpha, t):
     sets = {c.vertices for c in got}
     assert count == len(got) == len(sets)
     assert sets == {c.vertices for c in want}
-    assert sets == {v for v in brute_force_enumerate(g, alpha).vertex_sets()
+    assert sets == {v for v in exact_enumerate(g, alpha).vertex_sets()
                     if len(v) >= t}
 
 
