@@ -1,10 +1,12 @@
 """Command-line front end: enumerate, verify, generate, bench.
 
 Exit codes: 0 success, 1 verification failure, a failed search worker or a
-closed output pipe, 2 usage/validation error, an output write error or
-running out of memory.
-The default seed is 0, overridable via the UMC_SEED environment variable
-or per-command --seed flags.
+closed output pipe, 2 usage/validation error (a graph or clique file line
+longer than its bound included), an output write error or running out of
+memory.
+Generator settings (`generate`'s flags, `bench --gen` specs) are
+umc.generators.GenSpec's: its fields hold the only defaults, and a
+setting the family does not read is refused.
 
 Clique stream format (enumerate output, verify input): one clique per
 line, "<prob:17sig> <v1> <v2> ... <vk>" with external vertex ids ascending,
@@ -24,8 +26,10 @@ from typing import TextIO
 from . import parallel
 from .algorithms import dfs_noip, large_mule, mule
 from .graph import (
+    MAX_LINE,
     GraphFormatError,
     UncertainGraph,
+    bounded_lines,
     check_alpha,
     clique_probability,
     dump_graph,
@@ -40,7 +44,7 @@ from .graph import (
 # --prob-model coauthor; those import them, so `umc enumerate` does not.
 
 CSV_COLUMNS = ["graph", "algo", "alpha", "t", "count", "out_vertices",
-               "ms", "depth", "seed"]
+               "ms", "depth"]
 
 PROB_REL_TOL = 1e-9
 
@@ -60,14 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 def integer(text: str) -> int:
     return number(text, int)
-
-
-def default_seed() -> int:
-    text = os.environ.get("UMC_SEED", "0")
-    try:
-        return integer(text)
-    except ValueError:
-        raise UsageError(f"UMC_SEED must be an integer, got {text!r}")
 
 
 def _open_for_write(path: str, **kwargs) -> TextIO:
@@ -178,14 +174,22 @@ def cmd_enumerate(args) -> int:
 def _parse_clique_file(g: UncertainGraph, path: str):
     """(line_no, prob, internal vertex tuple) for every line of a clique
     stream.  The whole file is read before any line is checked, so a
-    malformed line stops verify before it prints a verdict."""
+    malformed line stops verify before it prints a verdict.
+
+    A line holds a probability and at most g.n labels, and labels ascend,
+    so the last is the longest.  A line longer than that bound, or than a
+    graph file's MAX_LINE if that is larger (a comment, say), raises
+    GraphFormatError."""
+    limit = MAX_LINE
+    if g.n:  # 32 characters hold a probability's 17 significant digits
+        limit = max(limit, 32 + g.n * (len(str(g.label(g.n - 1))) + 1))
     try:
         fh = open(path, encoding="ascii", errors="surrogateescape")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     entries = []
     with fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in bounded_lines(fh, limit):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -217,7 +221,10 @@ def cmd_verify(args) -> int:
 
     alpha = _check_alpha_arg(args.alpha)
     g = _load_file(args.input, args.prob_model)
-    entries = _parse_clique_file(g, args.cliques)
+    try:
+        entries = _parse_clique_file(g, args.cliques)
+    except GraphFormatError as exc:  # a line longer than its bound
+        raise UsageError(f"{args.cliques}: {exc}")
     if args.complete:  # a refusal, like a malformed line, precedes any verdict
         try:
             expected = exact_enumerate(g, alpha).vertex_sets()
@@ -258,14 +265,10 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     from .generators import GenSpec
 
-    if args.family == "extremal" and args.alpha is None:
-        raise UsageError("extremal family requires --alpha")
-    fields = {"m": args.m, "density": args.density,
-              "seed": args.seed if args.seed is not None else default_seed()}
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
+    given = {key: getattr(args, key) for key in GenSpec._fields[2:]
+             if getattr(args, key) is not None}
     try:
-        g = GenSpec(args.family, args.n, **fields).build()
+        g = GenSpec.checked(args.family, args.n, **given).build()
     except ValueError as exc:
         raise UsageError(str(exc))
     with _open_for_write(args.out) as fh:
@@ -299,7 +302,6 @@ def cmd_bench(args) -> int:
 
     if not args.input and not args.gen:
         raise UsageError("bench requires --input and/or --gen")
-    seed = args.seed if args.seed is not None else default_seed()
     alphas = [_check_alpha_arg(a)
               for a in _parse_list(args.alphas, number, "--alphas")]
     algos = args.algos.split(",")
@@ -310,30 +312,26 @@ def cmd_bench(args) -> int:
     if any(t < 1 for t in min_sizes):
         raise UsageError("--min-sizes entries must be >= 1")
 
-    graphs: list[tuple[str, UncertainGraph, int]] = []
-    for path in args.input:
-        graphs.append((os.path.basename(path),
-                       _load_file(path, args.prob_model), seed))
+    graphs = [(os.path.basename(path), _load_file(path, args.prob_model))
+              for path in args.input]
     for spec_text in args.gen:
         try:
             spec = GenSpec.parse(spec_text)
-            if "seed=" not in spec_text:
-                spec = spec._replace(seed=seed)
-            graphs.append((spec.label(), spec.build(), spec.seed))
-        except (ValueError, TypeError) as exc:
+            graphs.append((spec.label(), spec.build()))
+        except ValueError as exc:
             raise UsageError(f"bad generator spec {spec_text!r}: {exc}")
 
     with _open_for_write(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
-        for label, g, gseed in graphs:
+        for label, g in graphs:
             for algo in algos:
                 for alpha in alphas:
                     for t in min_sizes:
                         count, ov, ms, depth = _bench_cell(g, algo, alpha, t)
                         writer.writerow([label, algo, alpha, t, count, ov,
-                                         f"{ms:.3f}", depth, gseed])
+                                         f"{ms:.3f}", depth])
                         fh.flush()
     return 0
 
@@ -369,11 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", choices=["ba", "er", "extremal"],
                        required=True)
     p_gen.add_argument("--n", type=integer, required=True)
-    p_gen.add_argument("--m", type=integer, default=10,
-                       help="edges per new vertex (ba)")
-    p_gen.add_argument("--density", type=number, default=0.5, help="er density")
-    p_gen.add_argument("--alpha", type=number, help="extremal threshold")
-    p_gen.add_argument("--seed", type=integer)
+    # No default here: a flag left out takes GenSpec's field default.
+    p_gen.add_argument("--m", type=integer,
+                       help="edges per new vertex (ba; default 10)")
+    p_gen.add_argument("--density", type=number, help="er (default 0.5)")
+    p_gen.add_argument("--alpha", type=number, help="extremal (required)")
+    p_gen.add_argument("--seed", type=integer, help="ba, er (default 0)")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--min-sizes", default="1")
     p_bench.add_argument("--prob-model", choices=["prob", "coauthor"],
                          default="prob")
-    p_bench.add_argument("--seed", type=integer)
     p_bench.add_argument("--csv", required=True)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -126,35 +126,52 @@ def coauthor_prob_parser(token: str) -> float:
 
 class GenSpec(NamedTuple):
     """One generator invocation, parseable from 'family:key=val,...'
-    (e.g. 'ba:n=2000,m=10,seed=1' or 'er:n=12,density=0.5').  build()
-    raises ValueError for an unknown family or n < 1."""
+    (e.g. 'ba:n=2000,m=10,seed=1' or 'extremal:n=16,alpha=0.5').  Its
+    field defaults are the generators' only defaults; alpha has none.
+
+    KEYS names the keys each family reads besides n.  checked() refuses
+    any other, and parse() a repeated key too, so no setting is silently
+    dropped.  build() raises ValueError for an unknown family, n < 1 or
+    an extremal spec without alpha."""
 
     family: str
     n: int
     m: int = 10
     density: float = 0.5
-    alpha: float = 0.5          # extremal family only
+    alpha: float | None = None
     seed: int = 0
 
-    _FAMILIES = ("ba", "er", "extremal")
-    _INT_KEYS = ("n", "m", "seed")
-    _FLOAT_KEYS = ("density", "alpha")
+    # The keys each family reads besides n, with their types.
+    KEYS = {"ba": {"m": int, "seed": int},
+            "er": {"density": float, "seed": int},
+            "extremal": {"alpha": float}}
+
+    @classmethod
+    def checked(cls, family: str, n: int, /, **fields) -> "GenSpec":
+        """GenSpec(family, n, **fields), refused with ValueError when the
+        family is unknown or does not read one of fields."""
+        if family not in cls.KEYS:
+            raise ValueError(f"unknown family {family!r}")
+        for key in fields:
+            if key not in cls.KEYS[family]:
+                raise ValueError(f"family {family!r} takes no {key!r} "
+                                 f"(only {', '.join(cls.KEYS[family])})")
+        return cls(family, n, **fields)
 
     @classmethod
     def parse(cls, text: str) -> "GenSpec":
         family, _, rest = text.partition(":")
-        kwargs: dict = {}
+        types = {"n": int, **cls.KEYS.get(family, {})}
+        fields: dict = {}
         for item in filter(None, rest.split(",")):
             key, _, val = item.partition("=")
-            if key in cls._INT_KEYS:
-                kwargs[key] = number(val, int)
-            elif key in cls._FLOAT_KEYS:
-                kwargs[key] = number(val)
-            else:
-                raise ValueError(f"unknown generator parameter {key!r}")
-        if "n" not in kwargs:
+            if key in fields:
+                raise ValueError(f"parameter {key!r} given twice")
+            fields[key] = number(val, types[key]) if key in types else val
+        if "n" not in fields:
             raise ValueError("generator spec requires n=<count>")
-        return cls(family=family, **kwargs)
+        n = fields.pop("n")
+        return cls.checked(family, n, **fields)
 
     def label(self) -> str:
         if self.family == "ba":
@@ -164,11 +181,13 @@ class GenSpec(NamedTuple):
         return f"extremal{self.n}-a{self.alpha}"
 
     def build(self) -> UncertainGraph:
-        if self.family not in self._FAMILIES:
+        if self.family not in self.KEYS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.family == "extremal":
+            if self.alpha is None:
+                raise ValueError("extremal family requires alpha")
             return build_extremal_graph(self.n, self.alpha)
         if self.family == "ba":
             base = gen_barabasi_albert(self.n, self.m, self.seed)

@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from array import array
-from itertools import compress, pairwise, repeat, starmap
+from itertools import chain, compress, pairwise, repeat, starmap
 from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, TextIO
 
 
@@ -301,11 +301,49 @@ def _build_rows(n: int, us: array, vs: array,
 
 _MAX_COUNT_DIGITS = len(str(sys.maxsize))
 
+# The characters a graph-file line may hold, its newline excluded.  Real
+# lines need far fewer; the bound lets a reader refuse an endless line
+# (/dev/zero) at once instead of reading it until memory runs out.
+MAX_LINE = 1 << 16
+
+
+def bounded_lines(source: TextIO, limit: int = MAX_LINE
+                  ) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for each line of source.
+
+    source is read in pieces of at most 8192 characters, so a line longer
+    than limit raises GraphFormatError with its number as soon as the
+    piece that makes it too long is read, and no more than limit + 8192
+    characters of it are held."""
+    size = min(limit, 8192)
+
+    def numbered_pieces():
+        line_no = 0
+        rest = ""  # the unfinished last line of what has been read
+        while piece := source.read(size):
+            text = rest + piece
+            # Every line but the first lies inside piece, so only the
+            # first can be longer than limit.
+            end = text.find("\n")
+            if (end if end >= 0 else len(text)) > limit:
+                raise GraphFormatError(
+                    f"line longer than {limit} characters", line_no + 1)
+            lines = text.split("\n")
+            rest = lines.pop()
+            yield enumerate(lines, line_no + 1)
+            line_no += len(lines)
+        if rest:
+            yield [(line_no + 1, rest)]
+
+    # chained, the lines pass through no Python frame of their own
+    return chain.from_iterable(numbered_pieces())
+
 
 def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
     """Parse the edge-list text format.
 
-    Lines are "u v p" with positive integer labels u != v and p in (0, 1];
+    Lines are "u v p" with positive integer labels u != v and p in (0, 1],
+    and no line, comments included, holds more than MAX_LINE characters;
     '#' starts a comment; an optional leading header "n <count>" declares
     the vertex count (and thereby isolated vertices), in which case labels
     must lie in 1..count.  Without a header, vertices are the union of the
@@ -337,7 +375,7 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
             return ext - 1
         return label_order.setdefault(ext, len(label_order))
 
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in bounded_lines(source):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue

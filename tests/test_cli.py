@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through umc.cli.main."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,10 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 import umc
 import umc.cli
+import umc.graph
 import umc.oracle
 from umc.cli import main
 from umc.generators import GenSpec
@@ -225,6 +229,23 @@ class TestVerify:
         assert err == ("error: --complete: more than 30 alpha-cliques "
                        "to visit\n")
 
+    def test_clique_line_bound_follows_from_the_graph(self, tmp_path,
+                                                     capsys):
+        """Twenty labels of 4,000 digits make a clique line longer than a
+        graph file's line bound; a clique file's bound leaves room for
+        every label of the graph."""
+        labels = [10**3999 + i for i in range(20)]
+        graph = tmp_path / "k20.txt"
+        graph.write_text("".join(f"{u} {v} 1\n" for i, u in enumerate(labels)
+                                 for v in labels[i + 1:]))
+        line = "1 " + " ".join(map(str, labels))
+        assert len(line) > umc.graph.MAX_LINE
+        cliques = tmp_path / "c.txt"
+        cliques.write_text(line + "\n")
+        assert main(["verify", "--input", str(graph), "--cliques",
+                     str(cliques), "--alpha", "0.5"]) == 0
+        assert capsys.readouterr().err == "verification ok\n"
+
     def test_malformed_later_line_stops_before_any_verdict(
             self, path_graph, tmp_path, capsys):
         # line 1 alone would be reported NOT ALPHA-MAXIMAL
@@ -262,15 +283,6 @@ class TestGenerate:
             g = load_graph(fh)
         assert g.n == 12
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        monkeypatch.setenv("UMC_SEED", "42")
-        main(["generate", "--family", "ba", "--n", "50", "--m", "3",
-              "--out", str(a)])
-        main(["generate", "--family", "ba", "--n", "50", "--m", "3",
-              "--seed", "42", "--out", str(b)])
-        assert a.read_text() == b.read_text()
-
     def test_usage_error_on_bad_spec(self, tmp_path):
         rc = main(["generate", "--family", "extremal", "--n", "7",
                    "--alpha", "0.5", "--out", str(tmp_path / "x.txt")])
@@ -288,13 +300,18 @@ class TestGenerate:
         assert "rounding band" in err[0]
         assert not out.exists()
 
+    # Each flag set and the spec string `bench --gen` takes for it write
+    # the same bytes; a flag left out takes GenSpec's default, as a key
+    # left out of a spec does.
     @pytest.mark.parametrize("argv, spec", [
         (["--family", "ba", "--n", "60", "--m", "4", "--seed", "3"],
-         GenSpec("ba", 60, m=4, seed=3)),
+         GenSpec.parse("ba:n=60,m=4,seed=3")),
         (["--family", "er", "--n", "30", "--density", "0.3", "--seed", "2"],
-         GenSpec("er", 30, density=0.3, seed=2)),
+         GenSpec.parse("er:n=30,density=0.3,seed=2")),
         (["--family", "extremal", "--n", "10", "--alpha", "0.4"],
-         GenSpec("extremal", 10, alpha=0.4)),
+         GenSpec.parse("extremal:n=10,alpha=0.4")),
+        (["--family", "ba", "--n", "60"], GenSpec.parse("ba:n=60")),
+        (["--family", "er", "--n", "30"], GenSpec.parse("er:n=30")),
     ])
     def test_writes_what_genspec_builds(self, tmp_path, argv, spec):
         out = tmp_path / "g.txt"
@@ -302,6 +319,30 @@ class TestGenerate:
         expected = io.StringIO()
         dump_graph(spec.build(), expected)
         assert out.read_text() == expected.getvalue()
+
+    def test_help_names_genspec_defaults(self, capsys):
+        assert main(["generate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key in ("m", "density", "seed"):
+            default = GenSpec._field_defaults[key]
+            assert f"--{key} {key.upper()} " in text
+            assert f"default {default})" in text, key
+        assert GenSpec._field_defaults["alpha"] is None
+        assert "extremal (required)" in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--gen", "extremal:n=8", "--alphas", "0.5", "--csv",
+          "{tmp}/b.csv"], "bad generator spec 'extremal:n=8': extremal "
+         "family requires alpha"),
+        (["generate", "--family", "extremal", "--n", "8", "--out",
+          "{tmp}/g.txt"], "extremal family requires alpha"),
+    ], ids=["bench", "generate"])
+    def test_extremal_without_alpha_exits_2(self, tmp_path, capsys, argv,
+                                            message):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "g.txt").exists()
 
 
 class TestBench:
@@ -332,117 +373,136 @@ class TestBench:
                    "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_spec_without_seed_takes_the_bench_seed(self, tmp_path):
+    def test_spec_without_seed_is_labelled_s0(self, tmp_path):
         rows = {}
-        for name, argv in (("given", ["--gen", "er:n=14,density=0.6,seed=4"]),
-                           ("default", ["--gen", "er:n=14,density=0.6",
-                                        "--seed", "4"])):
+        for name, spec in (("given", "er:n=14,density=0.6,seed=0"),
+                           ("default", "er:n=14,density=0.6")):
             out = tmp_path / f"{name}.csv"
-            assert main(["bench", *argv, "--alphas", "0.3,0.6",
+            assert main(["bench", "--gen", spec, "--alphas", "0.3,0.6",
                          "--csv", str(out)]) == 0
             with open(out) as fh:
+                assert next(csv.reader(fh)) == umc.cli.CSV_COLUMNS
+                fh.seek(0)
                 rows[name] = [{k: v for k, v in r.items() if k != "ms"}
                               for r in csv.DictReader(fh)]
         assert rows["default"] == rows["given"]
-        assert [r["graph"] for r in rows["given"]] == ["er14-d0.6-s4"] * 2
-        assert {r["seed"] for r in rows["given"]} == {"4"}
+        assert [r["graph"] for r in rows["given"]] == ["er14-d0.6-s0"] * 2
+        assert "seed" not in umc.cli.CSV_COLUMNS
 
 
-@pytest.mark.parametrize("umc_seed, argv, message", [
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
-           "--alpha", "0.5"], "cannot read"),
-    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
-           "--out", "{tmp}/no_such_dir/x"], "cannot write"),
-    ("0", ["generate", "--family", "ba", "--n", "20", "--m", "2",
-           "--out", "{tmp}/no_such_dir/x"], "cannot write"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--csv", "{tmp}/no_such_dir/x"], "cannot write"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "x",
-           "--csv", "{tmp}/b.csv"], "--alphas: malformed list 'x'"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--min-sizes", "a", "--csv", "{tmp}/b.csv"],
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
+      "--alpha", "0.5"], "cannot read"),
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5",
+      "--out", "{tmp}/no_such_dir/x"], "cannot write"),
+    (["generate", "--family", "ba", "--n", "20", "--m", "2",
+      "--out", "{tmp}/no_such_dir/x"], "cannot write"),
+    (["bench", "--input", "{graph}", "--alphas", "0.5",
+      "--csv", "{tmp}/no_such_dir/x"], "cannot write"),
+    (["bench", "--input", "{graph}", "--alphas", "x",
+      "--csv", "{tmp}/b.csv"], "--alphas: malformed list 'x'"),
+    (["bench", "--input", "{graph}", "--alphas", "0.5",
+      "--min-sizes", "a", "--csv", "{tmp}/b.csv"],
      "--min-sizes: malformed list 'a'"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--algos", "large-mule", "--csv", "{tmp}/b.csv"],
+    (["bench", "--input", "{graph}", "--alphas", "0.5",
+      "--algos", "large-mule", "--csv", "{tmp}/b.csv"],
      "unknown algorithm 'large-mule'"),
-    ("0", ["bench", "--gen", "extremal:n=7,alpha=0.5", "--alphas", "0.5",
-           "--csv", "{tmp}/b.csv"], "bad generator spec"),
-    ("0", ["bench", "--gen", "xx:n=5", "--alphas", "0.5",
-           "--csv", "{tmp}/b.csv"],
+    (["bench", "--gen", "extremal:n=7,alpha=0.5", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"], "bad generator spec"),
+    (["bench", "--gen", "xx:n=5", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"],
      "bad generator spec 'xx:n=5': unknown family 'xx'"),
-    ("0", ["bench", "--gen", "ba:n=0", "--alphas", "0.5",
-           "--csv", "{tmp}/b.csv"],
+    (["bench", "--gen", "ba:n=0", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"],
      "bad generator spec 'ba:n=0': n must be >= 1"),
-    ("0", ["generate", "--family", "er", "--n", "0", "--out", "{tmp}/g.txt"],
+    (["generate", "--family", "er", "--n", "0", "--out", "{tmp}/g.txt"],
      "error: n must be >= 1"),
-    ("x", ["generate", "--family", "ba", "--n", "20", "--m", "2",
-           "--out", "{tmp}/g.txt"], "UMC_SEED must be an integer"),
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
-           "--alpha", "0.5"], "repeat.txt:1: malformed clique line"),
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/unknown.txt",
-           "--alpha", "0.5"], "unknown.txt:1: unknown vertex 9"),
-    ("0", ["enumerate", "--input", "{tmp}/co.txt", "--prob-model", "coauthor",
-           "--alpha", "0.5"],
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
+      "--alpha", "0.5"], "repeat.txt:1: malformed clique line"),
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/unknown.txt",
+      "--alpha", "0.5"], "unknown.txt:1: unknown vertex 9"),
+    (["enumerate", "--input", "{tmp}/co.txt", "--prob-model", "coauthor",
+      "--alpha", "0.5"],
      "co.txt: line 2: paper count 'x' is not an integer"),
     # Python literal syntax that int() and float() accept
-    ("0", ["enumerate", "--input", "{tmp}/literal.txt", "--alpha", "0.01"],
+    (["enumerate", "--input", "{tmp}/literal.txt", "--alpha", "0.01"],
      "literal.txt: line 1: '_' or non-ASCII character"),
-    ("0", ["enumerate", "--input", "{tmp}/plus.txt", "--alpha", "0.01"],
+    (["enumerate", "--input", "{tmp}/plus.txt", "--alpha", "0.01"],
      "plus.txt: line 1: vertex ids must not carry a '+'"),
-    ("0", ["enumerate", "--input", "{tmp}/co-plus.txt", "--prob-model",
-           "coauthor", "--alpha", "0.5"],
+    (["enumerate", "--input", "{tmp}/co-plus.txt", "--prob-model",
+      "coauthor", "--alpha", "0.5"],
      "co-plus.txt: line 1: paper count '+3' is not an integer"),
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-under.txt",
-           "--alpha", "0.5"], "c-under.txt:1: malformed clique line"),
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-plus.txt",
-           "--alpha", "0.5"], "c-plus.txt:2: malformed clique line"),
-    ("0", ["verify", "--input", "{graph}", "--cliques", "{tmp}/c-digit.txt",
-           "--alpha", "0.5"], "c-digit.txt:1: malformed clique line"),
-    # ... and the same syntax in an option or in UMC_SEED
-    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5_0"],
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-under.txt",
+      "--alpha", "0.5"], "c-under.txt:1: malformed clique line"),
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-plus.txt",
+      "--alpha", "0.5"], "c-plus.txt:2: malformed clique line"),
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-digit.txt",
+      "--alpha", "0.5"], "c-digit.txt:1: malformed clique line"),
+    # ... and the same syntax in an option
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5_0"],
      "argument --alpha: invalid number value: '0.5_0'"),
-    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
-           "--min-size", "+1_0"],
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5",
+      "--min-size", "+1_0"],
      "argument --min-size: invalid integer value: '+1_0'"),
-    ("0", ["enumerate", "--input", "{graph}", "--alpha", "0.5",
-           "--min-size", "+2"],
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5",
+      "--min-size", "+2"],
      "argument --min-size: invalid integer value: '+2'"),
-    ("0", ["enumerate", "--input", "{graph}", "--alpha", "\u0660.5"],
+    (["enumerate", "--input", "{graph}", "--alpha", "\u0660.5"],
      "argument --alpha: invalid number value"),
-    ("1_0", ["generate", "--family", "ba", "--n", "20", "--m", "2",
-             "--out", "{tmp}/g.txt"], "UMC_SEED must be an integer, got '1_0'"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5_0",
-           "--csv", "{tmp}/b.csv"], "--alphas: malformed list '0.5_0'"),
-    ("0", ["bench", "--input", "{graph}", "--alphas", "0.5",
-           "--min-sizes", "1,+2", "--csv", "{tmp}/b.csv"],
+    (["bench", "--input", "{graph}", "--alphas", "0.5_0",
+      "--csv", "{tmp}/b.csv"], "--alphas: malformed list '0.5_0'"),
+    (["bench", "--input", "{graph}", "--alphas", "0.5",
+      "--min-sizes", "1,+2", "--csv", "{tmp}/b.csv"],
      "--min-sizes: malformed list '1,+2'"),
-    ("0", ["bench", "--gen", "ba:n=2_0,m=2", "--alphas", "0.5",
-           "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=2_0,m=2'"),
-    ("0", ["enumerate", "--input", "{tmp}/huge.txt", "--alpha", "0.5"],
+    (["bench", "--gen", "ba:n=2_0,m=2", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=2_0,m=2'"),
+    (["enumerate", "--input", "{tmp}/huge.txt", "--alpha", "0.5"],
      f"huge.txt: line 1: vertex count exceeds {sys.maxsize}"),
     # more digits than int() converts
-    ("0", ["enumerate", "--input", "{tmp}/long-id.txt", "--alpha", "0.5"],
+    (["enumerate", "--input", "{tmp}/long-id.txt", "--alpha", "0.5"],
      "long-id.txt: line 1: vertex id of 5000 digits exceeds the "
      f"{sys.get_int_max_str_digits()}-digit limit"),
-    ("0", ["enumerate", "--input", "{tmp}/co-negative.txt", "--prob-model",
-           "coauthor", "--alpha", "0.5"],
+    (["enumerate", "--input", "{tmp}/co-negative.txt", "--prob-model",
+      "coauthor", "--alpha", "0.5"],
      "co-negative.txt: line 1: paper count must be a positive integer, "
      "got -999"),
+    # a generator setting is never silently dropped
+    (["bench", "--gen", "ba:n=10,n=20,m=2", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"],
+     "bad generator spec 'ba:n=10,n=20,m=2': parameter 'n' given twice"),
+    (["bench", "--gen", "ba:n=10,m=2,alpha=0.3", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"], "bad generator spec 'ba:n=10,m=2,alpha=0.3': "
+     "family 'ba' takes no 'alpha' (only m, seed)"),
+    (["generate", "--family", "ba", "--n", "50", "--m", "3", "--density",
+      "0.9", "--alpha", "0.2", "--out", "{tmp}/g.txt"],
+     "family 'ba' takes no 'density' (only m, seed)"),
+    (["generate", "--family", "extremal", "--n", "8", "--alpha", "0.5",
+      "--seed", "1", "--out", "{tmp}/g.txt"],
+     "family 'extremal' takes no 'seed' (only alpha)"),
+    (["bench", "--gen", "er:n=12", "--seed", "4", "--alphas", "0.5",
+      "--csv", "{tmp}/b.csv"], "unrecognized arguments: --seed 4"),
+    # a line longer than its bound, comments included
+    (["enumerate", "--input", "{tmp}/long-line.txt", "--alpha", "0.5"],
+     "long-line.txt: line 2: line longer than 65536 characters"),
+    (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-long.txt",
+      "--alpha", "0.5"], "c-long.txt: line 2: line longer than 65536 "
+     "characters"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "bench-gen-unknown-family", "bench-gen-n-0",
-        "generate-n-0", "generate-umc-seed",
+        "generate-n-0",
         "verify-repeated-vertex", "verify-unknown-vertex",
         "enumerate-coauthor-count", "enumerate-underscore", "enumerate-plus",
         "enumerate-coauthor-plus", "verify-underscore", "verify-plus",
         "verify-non-ascii-digit", "option-underscore", "option-plus-underscore",
-        "option-plus", "option-non-ascii-digit", "umc-seed-underscore",
+        "option-plus", "option-non-ascii-digit",
         "bench-alphas-underscore", "bench-min-sizes-plus",
         "bench-gen-underscore", "enumerate-count-beyond-maxsize",
-        "enumerate-id-5000-digits", "enumerate-coauthor-negative-5000-digits"])
-def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
-                                umc_seed, argv, message):
-    monkeypatch.setenv("UMC_SEED", umc_seed)
+        "enumerate-id-5000-digits", "enumerate-coauthor-negative-5000-digits",
+        "bench-gen-repeated-key", "bench-gen-key-not-read",
+        "generate-flag-not-read", "generate-extremal-seed", "bench-seed",
+        "enumerate-long-line", "verify-long-line"])
+def test_bad_user_input_exits_2(path_graph, tmp_path, capsys, argv, message):
     # a clique line that repeats vertex 3 must not pass as the pair {3, 3}
     (tmp_path / "repeat.txt").write_text("1 3 3\n")
     (tmp_path / "unknown.txt").write_text("1.0 9\n")
@@ -457,10 +517,12 @@ def test_bad_user_input_exits_2(path_graph, tmp_path, monkeypatch, capsys,
     (tmp_path / "c-under.txt").write_text("0.9_0 1 2\n")
     (tmp_path / "c-plus.txt").write_text("0.9 1 2\n0.8 +2 3\n")
     (tmp_path / "c-digit.txt").write_text("0.8 \u0662 3\n")
+    (tmp_path / "long-line.txt").write_text("1 2 0.5\n#" + "x" * 65536)
+    (tmp_path / "c-long.txt").write_text("0.9 1 2\n#" + "x" * 65536 + "\n")
     argv = [a.format(graph=path_graph, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
 
@@ -504,19 +566,88 @@ def test_random_bytes_exit_2_without_traceback(path_graph, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-def test_out_of_memory_exits_2_with_one_line():
-    """/dev/zero is one endless line.  The child caps its own address space
-    (256 MB, and so its memory use), so reading the line runs it out of
-    memory quickly."""
+@pytest.fixture(scope="module")
+def byte_files(tmp_path_factory):
+    """The path graph, and a file each example overwrites."""
+    folder = tmp_path_factory.mktemp("bytes")
+    (folder / "path3.txt").write_text(PATH_3)
+    return folder / "path3.txt", folder / "data.bin"
+
+
+# Arbitrary bytes, and text made of the tokens of the two file formats so
+# that some examples parse and reach the search or the verdicts.  The only
+# header is "n 3": a larger declared count would need a row per vertex.
+TOKENS = [b"1", b"2", b"3", b"7", b"0", b"0.5", b".", b"e", b"-", b"+",
+          b"_", b"inf", b"nan", b"9" * 30, b" ", b"\t", b"\n", b"\r", b"#",
+          b"\x00", b"\xe9", b"n 3\n", b"1 2 0.9\n", b"0.9 1 2\n",
+          b"2 3 0.8\n", b"0.8 2 3\n"]
+file_bytes = st.binary(max_size=400) | st.lists(
+    st.sampled_from(TOKENS), max_size=80).map(b"".join)
+
+
+@pytest.mark.parametrize("flag", ["--input", "--cliques"])
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=file_bytes)
+@example(data=b"# caf\xe9\n1 2 0.5\n")
+@example(data=b"1 2 0.5\n\x00\n")
+@example(data=random.Random(2000).randbytes(2000))
+def test_any_bytes_exit_without_traceback(byte_files, flag, data):
+    """Any bytes as the enumerate --input file, or as the verify --cliques
+    file against the path graph, end with one stderr line: exit 0, exit 2
+    with an error line, or (verify only) exit 1 with the failed verdict.
+    stdout is a buffer without a descriptor, so enumerate searches in this
+    process."""
+    graph, f = byte_files
+    f.write_bytes(data)
+    if flag == "--input":
+        argv = ["enumerate", "--input", str(f), "--alpha", "0.5"]
+    else:
+        argv = ["verify", "--input", str(graph), "--cliques", str(f),
+                "--alpha", "0.5"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert err.count("\n") == 1, err
+    if rc == 2:
+        assert err.startswith("error: ") and out.getvalue() == ""
+    elif rc == 1:
+        assert flag == "--cliques"
+        assert err.startswith("verification failed: ")
+    else:
+        assert rc == 0, (rc, err)
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    """A header of ten million vertices needs a row per vertex for the
+    search.  The child caps its own address space (256 MB, and so its
+    memory use), so building them runs it out of memory quickly."""
+    graph = tmp_path / "n1e7.txt"
+    graph.write_text("n 10000000\n1 2 0.5\n")
     code = ("import resource, sys; from umc.cli import main; "
             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
-            "sys.exit(main(['enumerate', '--input', '/dev/zero', "
+            f"sys.exit(main(['enumerate', '--input', {str(graph)!r}, "
             "'--alpha', '0.5']))")
     src = str(Path(umc.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_line_is_refused_at_once():
+    """/dev/zero is one endless line.  With no resource limit set, the
+    reader refuses it after its first 64 KiB, not when memory runs out."""
+    code = ("import sys; from umc.cli import main; "
+            "sys.exit(main(['enumerate', '--input', '/dev/zero', "
+            "'--alpha', '0.5']))")
+    src = str(Path(umc.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: /dev/zero: line 1: line longer than 65536 characters\n")
 
 
 def test_commands_without_random_draws_run_without_numpy(tmp_path):

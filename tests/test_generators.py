@@ -236,6 +236,37 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec.parse("ba:m=3")
 
+    @pytest.mark.parametrize("text, message", [
+        ("ba:n=10,n=20,m=2", "parameter 'n' given twice"),
+        ("er:n=10,seed=1,seed=2", "parameter 'seed' given twice"),
+        ("ba:n=10,m=2,alpha=0.3",
+         "family 'ba' takes no 'alpha' (only m, seed)"),
+        ("er:n=10,m=2", "family 'er' takes no 'm' (only density, seed)"),
+        ("extremal:n=8,alpha=0.5,seed=1",
+         "family 'extremal' takes no 'seed' (only alpha)"),
+        ("xx:n=5", "unknown family 'xx'"),
+    ])
+    def test_parse_drops_no_setting(self, text, message):
+        with pytest.raises(ValueError) as info:
+            GenSpec.parse(text)
+        assert str(info.value) == message
+
+    def test_checked_reads_the_same_table(self):
+        assert GenSpec.checked("ba", 10, m=2) == GenSpec.parse("ba:n=10,m=2")
+        with pytest.raises(ValueError, match="takes no 'density'"):
+            GenSpec.checked("ba", 10, density=0.9)
+        for keys in GenSpec.KEYS.values():
+            assert set(keys) <= set(GenSpec._fields[2:])
+
+    def test_extremal_requires_alpha(self):
+        spec = GenSpec.parse("extremal:n=8")
+        with pytest.raises(ValueError, match="extremal family requires alpha"):
+            spec.build()
+
+    def test_a_spec_without_seed_is_labelled_s0(self):
+        assert GenSpec.parse("ba:n=10,m=2").label() == "ba10-m2-s0"
+        assert GenSpec.parse("er:n=12").label() == "er12-d0.5-s0"
+
     def test_build_round_trip(self):
         g = GenSpec.parse("er:n=12,density=0.5,seed=1").build()
         assert g.n == 12

@@ -156,6 +156,39 @@ class TestLoadGraph:
         assert str(info.value) == message
         assert info.value.line_no == int(message.split()[1].rstrip(":"))
 
+    @pytest.mark.parametrize("newline", ["\n", ""])
+    def test_a_line_may_hold_max_line_characters(self, newline):
+        comment = "#" + "x" * (graph.MAX_LINE - 1)
+        assert parse("1 2 0.5\n" + comment + newline).num_edges == 1
+        edge = "1 2 " + "0" * (graph.MAX_LINE - 7) + "0.5"
+        assert parse(edge + newline).num_edges == 1
+
+    @pytest.mark.parametrize("newline", ["\n", ""])
+    def test_a_longer_line_is_refused_with_its_number(self, newline):
+        text = "1 2 0.5\n#" + "x" * graph.MAX_LINE + newline + "2 3 0.5\n"
+        with pytest.raises(GraphFormatError) as info:
+            parse(text)
+        assert str(info.value) == (
+            f"line 2: line longer than {graph.MAX_LINE} characters")
+        assert info.value.line_no == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab\n", max_size=200),
+           limit=st.integers(min_value=1, max_value=40))
+    def test_bounded_lines_split_as_a_file_does(self, text, limit):
+        """Pieces of limit characters, so lines cross piece boundaries."""
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        long = [no for no, line in enumerate(lines, 1) if len(line) > limit]
+        got = graph.bounded_lines(io.StringIO(text), limit)
+        if long:
+            with pytest.raises(GraphFormatError) as info:
+                list(got)
+            assert info.value.line_no == long[0]
+        else:
+            assert list(got) == list(enumerate(lines, 1))
+
     def test_round_trip_is_bit_exact(self):
         g = parse("n 4\n1 2 0.12345678901234567\n2 3 0.9999999999999999\n")
         buf = io.StringIO()
