@@ -1,22 +1,27 @@
 """Command-line front end: enumerate, verify, generate, bench.
 
 Exit codes: 0 success, 1 verification failure, a failed search worker or a
-closed output pipe, 2 usage/validation error (a graph or clique file line
-longer than its bound included), an output write error or running out of
-memory.
+closed output pipe, 2 usage/validation error, an output write error or
+running out of memory.  Every input file is opened by _read, so a graph
+file and a clique stream report a fault alike, as "<path>: line N:
+<fault>" (a line longer than its bound included), and a file that cannot
+be read as "cannot read <path>: ...".
 Generator settings (`generate`'s flags, `bench --gen` specs) are
 umc.generators.GenSpec's: its fields hold the only defaults, and a
-setting the family does not read is refused.
+setting the family does not read is refused.  bench loads or builds one
+graph at a time, when its rows are due.
 
 Clique stream format (enumerate output, verify input): one clique per
 line, "<prob:17sig> <v1> <v2> ... <vk>" with external vertex ids ascending,
-as umc.graph.format_clique writes it.
+as umc.graph.format_clique writes it and umc.graph.load_cliques reads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
+import itertools
 import math
 import os
 import sys
@@ -26,15 +31,14 @@ from typing import TextIO
 from . import parallel
 from .algorithms import dfs_noip, large_mule, mule
 from .graph import (
-    MAX_LINE,
     GraphFormatError,
     UncertainGraph,
-    bounded_lines,
     check_alpha,
     clique_probability,
     dump_graph,
     format_clique,
     is_alpha_maximal,
+    load_cliques,
     load_graph,
     number,
     prune_by_alpha,
@@ -80,21 +84,25 @@ def _parse_list(text: str, convert, flag: str) -> list:
         raise UsageError(f"{flag}: malformed list {text!r}")
 
 
-def _load_file(path: str, prob_model: str) -> UncertainGraph:
-    if prob_model == "coauthor":
-        from .generators import coauthor_prob_parser as parser
-    else:
-        parser = float
+def _read(path: str, load, *args):
+    """load(fh, *args) on the file at path, every fault as a UsageError."""
     # Graph and clique files are ASCII.  A byte outside it reads as a lone
     # surrogate, so a comment may hold any bytes while any other line
     # fails the loaders' isascii() checks, which give its line number.
     try:
         with open(path, encoding="ascii", errors="surrogateescape") as fh:
-            return load_graph(fh, prob_parser=parser)
+            return load(fh, *args)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except GraphFormatError as exc:
         raise UsageError(f"{path}: {exc}")
+
+
+def _load_file(path: str, prob_model: str) -> UncertainGraph:
+    parser = float
+    if prob_model == "coauthor":
+        from .generators import coauthor_prob_parser as parser
+    return _read(path, load_graph, parser)
 
 
 def _check_alpha_arg(alpha: float) -> float:
@@ -171,60 +179,12 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_clique_file(g: UncertainGraph, path: str):
-    """(line_no, prob, internal vertex tuple) for every line of a clique
-    stream.  The whole file is read before any line is checked, so a
-    malformed line stops verify before it prints a verdict.
-
-    A line holds a probability and at most g.n labels, and labels ascend,
-    so the last is the longest.  A line longer than that bound, or than a
-    graph file's MAX_LINE if that is larger (a comment, say), raises
-    GraphFormatError."""
-    limit = MAX_LINE
-    if g.n:  # 32 characters hold a probability's 17 significant digits
-        limit = max(limit, 32 + g.n * (len(str(g.label(g.n - 1))) + 1))
-    try:
-        fh = open(path, encoding="ascii", errors="surrogateescape")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    entries = []
-    with fh:
-        for line_no, raw in bounded_lines(fh, limit):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise UsageError(f"{path}:{line_no}: expected '<prob> <v1> ...'")
-            try:
-                # float() and int() also take '_', non-ASCII digits and '+3'
-                if ("_" in line or not line.isascii()
-                        or not all(map(str.isdigit, parts[1:]))):
-                    raise ValueError
-                prob = float(parts[0])
-                labels = [int(tok) for tok in parts[1:]]
-            except ValueError:
-                raise UsageError(f"{path}:{line_no}: malformed clique line")
-            if len(set(labels)) < len(labels):
-                raise UsageError(f"{path}:{line_no}: malformed clique line "
-                                 "(repeated vertex)")
-            try:
-                verts = sorted(g.index(lab) for lab in labels)
-            except KeyError as exc:
-                raise UsageError(f"{path}:{line_no}: unknown vertex {exc}")
-            entries.append((line_no, prob, tuple(verts)))
-    return entries
-
-
 def cmd_verify(args) -> int:
     from .oracle import exact_enumerate
 
     alpha = _check_alpha_arg(args.alpha)
     g = _load_file(args.input, args.prob_model)
-    try:
-        entries = _parse_clique_file(g, args.cliques)
-    except GraphFormatError as exc:  # a line longer than its bound
-        raise UsageError(f"{args.cliques}: {exc}")
+    entries = _read(args.cliques, load_cliques, g)
     if args.complete:  # a refusal, like a malformed line, precedes any verdict
         try:
             expected = exact_enumerate(g, alpha).vertex_sets()
@@ -295,6 +255,14 @@ def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
     return count, out_vertices, ms, depth
 
 
+def _from_spec(text: str, step, *args):
+    """step(*args) for the generator spec text, a ValueError refused."""
+    try:
+        return step(*args)
+    except ValueError as exc:
+        raise UsageError(f"bad generator spec {text!r}: {exc}")
+
+
 def cmd_bench(args) -> int:
     import csv
 
@@ -312,27 +280,28 @@ def cmd_bench(args) -> int:
     if any(t < 1 for t in min_sizes):
         raise UsageError("--min-sizes entries must be >= 1")
 
-    graphs = [(os.path.basename(path), _load_file(path, args.prob_model))
+    # Each graph is loaded or built when its rows are due, so a file or a
+    # spec that fails there exits 2 with the earlier graphs' rows kept.
+    graphs = [(os.path.basename(path),
+               functools.partial(_load_file, path, args.prob_model))
               for path in args.input]
-    for spec_text in args.gen:
-        try:
-            spec = GenSpec.parse(spec_text)
-            graphs.append((spec.label(), spec.build()))
-        except ValueError as exc:
-            raise UsageError(f"bad generator spec {spec_text!r}: {exc}")
+    for text in args.gen:
+        spec = _from_spec(text, GenSpec.parse, text)
+        graphs.append((spec.label(),
+                       functools.partial(_from_spec, text, spec.build)))
 
     with _open_for_write(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
-        for label, g in graphs:
-            for algo in algos:
-                for alpha in alphas:
-                    for t in min_sizes:
-                        count, ov, ms, depth = _bench_cell(g, algo, alpha, t)
-                        writer.writerow([label, algo, alpha, t, count, ov,
-                                         f"{ms:.3f}", depth])
-                        fh.flush()
+        for label, make in graphs:
+            g = make()
+            for algo, alpha, t in itertools.product(algos, alphas, min_sizes):
+                count, ov, ms, depth = _bench_cell(g, algo, alpha, t)
+                writer.writerow([label, algo, alpha, t, count, ov,
+                                 f"{ms:.3f}", depth])
+                fh.flush()
+            del g  # before the next graph is made: one graph at a time
     return 0
 
 

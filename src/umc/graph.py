@@ -7,9 +7,11 @@ enumeration ("add vertices in increasing order") is the internal index
 order, and that is ascending label order for every graph, so a clique's
 vertices and its labels sort alike.
 
-format_clique writes a Clique's line of the clique stream (see umc.cli),
-and format_batch the lines of one output of the search kernel's, a
-single clique or a batch, from the tuples the kernel hands out.
+The module reads and writes both text formats: load_graph and dump_graph
+the edge list, load_cliques the clique stream (see umc.cli), whose lines
+format_clique writes for a Clique and format_batch for one output of the
+search kernel's, a single clique or a batch, from the tuples the kernel
+hands out.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence, TextIO
 
 
 class GraphFormatError(ValueError):
-    """Edge-list input violates the format contract."""
+    """A graph file or a clique stream violates its format."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -314,26 +316,32 @@ def bounded_lines(source: TextIO, limit: int = MAX_LINE
     source is read in pieces of at most 8192 characters, so a line longer
     than limit raises GraphFormatError with its number as soon as the
     piece that makes it too long is read, and no more than limit + 8192
-    characters of it are held."""
+    characters of it are held.  The pieces of a line are joined once,
+    when its end is read, so a long line costs time in its length."""
     size = min(limit, 8192)
 
     def numbered_pieces():
         line_no = 0
-        rest = ""  # the unfinished last line of what has been read
+        head: list[str] = []  # the pieces of the unfinished last line
+        width = 0  # its length so far
         while piece := source.read(size):
-            text = rest + piece
             # Every line but the first lies inside piece, so only the
             # first can be longer than limit.
-            end = text.find("\n")
-            if (end if end >= 0 else len(text)) > limit:
+            end = piece.find("\n")
+            if width + (end if end >= 0 else len(piece)) > limit:
                 raise GraphFormatError(
                     f"line longer than {limit} characters", line_no + 1)
-            lines = text.split("\n")
+            head.append(piece)
+            if end < 0:
+                width += len(piece)
+                continue
+            lines = "".join(head).split("\n")
             rest = lines.pop()
+            head, width = [rest], len(rest)
             yield enumerate(lines, line_no + 1)
             line_no += len(lines)
-        if rest:
-            yield [(line_no + 1, rest)]
+        if width:
+            yield [(line_no + 1, "".join(head))]
 
     # chained, the lines pass through no Python frame of their own
     return chain.from_iterable(numbered_pieces())
@@ -429,6 +437,51 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
         return UncertainGraph.from_arrays(n, us, vs, ps, labels)
     except _EdgeFault as exc:
         raise GraphFormatError(str(exc), edge_lines[exc.index])
+
+
+def load_cliques(source: TextIO, g: UncertainGraph
+                 ) -> list[tuple[int, float, tuple[int, ...]]]:
+    """(line number, probability, internal vertex tuple, ascending) for
+    each clique of a clique stream of g's.
+
+    Lines are "<prob> <v1> ... <vk>" with plain decimal labels of g's
+    vertices, none repeated; blank lines and lines that start with '#'
+    are skipped.  A line holds a probability and the labels of a clique,
+    which has at most k = min(n, (1 + isqrt(1 + 8m)) // 2) vertices on m
+    edges, and g's last label is its longest.  A line longer than that
+    bound, or than a graph file's MAX_LINE if that is larger, raises
+    GraphFormatError, as does any other fault, with its line number.
+    The whole stream is read before any entry is returned.
+    """
+    k = min(g.n, (1 + math.isqrt(1 + 8 * g.num_edges)) // 2)
+    limit = MAX_LINE
+    if k:  # 32 characters hold a probability's 17 significant digits
+        limit = max(limit, 32 + k * (len(str(g.label(g.n - 1))) + 1))
+    entries = []
+    for line_no, raw in bounded_lines(source, limit):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) < 2:
+            raise GraphFormatError("expected '<prob> <v1> ...'", line_no)
+        try:
+            # float() and int() also take '_', non-ASCII digits and '+3'
+            if ("_" in raw or not raw.isascii()
+                    or not all(map(str.isdigit, parts[1:]))):
+                raise ValueError
+            prob = float(parts[0])
+            labels = [int(tok) for tok in parts[1:]]
+        except ValueError:
+            raise GraphFormatError("malformed clique line", line_no)
+        if len(set(labels)) < len(labels):
+            raise GraphFormatError("malformed clique line (repeated vertex)",
+                                   line_no)
+        try:
+            verts = sorted(map(g.index, labels))
+        except KeyError as exc:
+            raise GraphFormatError(f"unknown vertex {exc}", line_no)
+        entries.append((line_no, prob, tuple(verts)))
+    return entries
 
 
 def _id_fault(ids: list[str]) -> str:

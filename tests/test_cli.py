@@ -389,6 +389,42 @@ class TestBench:
         assert [r["graph"] for r in rows["given"]] == ["er14-d0.6-s0"] * 2
         assert "seed" not in umc.cli.CSV_COLUMNS
 
+    @pytest.mark.parametrize("later, message", [
+        (["--gen", "ba:n=0"], "bad generator spec 'ba:n=0': n must be >= 1"),
+        (["--input", "{tmp}/missing.txt"], "cannot read {tmp}/missing.txt: "),
+        (["--input", "{tmp}/bad.txt"], "{tmp}/bad.txt: line 1: "
+         "expected 'u v p'"),
+    ], ids=["spec", "missing-file", "malformed-file"])
+    def test_a_graph_that_fails_later_keeps_the_rows_before_it(
+            self, path_graph, tmp_path, capsys, later, message):
+        """Each graph is made when its rows are due, so one that fails
+        exits 2 after the earlier graphs' rows are written."""
+        (tmp_path / "bad.txt").write_text("1 2\n")
+        out = tmp_path / "b.csv"
+        later = [a.format(tmp=tmp_path) for a in later]
+        assert main(["bench", "--input", path_graph, *later,
+                     "--alphas", "0.5,0.8", "--csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(tmp=tmp_path)}")
+        assert err.count("\n") == 1
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["graph"], r["alpha"]) for r in rows] == [
+            ("path3.txt", "0.5"), ("path3.txt", "0.8")]
+
+    @pytest.mark.parametrize("argv", [
+        ["--gen", "xx:n=5"], ["--gen", "ba:n=5,m=1", "--algos", "x"],
+        ["--input", "{tmp}/missing.txt", "--alphas", "2"],
+    ], ids=["spec", "algos", "alphas"])
+    def test_a_refusal_that_needs_no_graph_opens_no_csv(self, tmp_path,
+                                                        argv):
+        out = tmp_path / "b.csv"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--alphas" not in argv:
+            argv += ["--alphas", "0.5"]
+        assert main(["bench", *argv, "--csv", str(out)]) == 2
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
@@ -418,9 +454,9 @@ class TestBench:
     (["generate", "--family", "er", "--n", "0", "--out", "{tmp}/g.txt"],
      "error: n must be >= 1"),
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/repeat.txt",
-      "--alpha", "0.5"], "repeat.txt:1: malformed clique line"),
+      "--alpha", "0.5"], "repeat.txt: line 1: malformed clique line"),
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/unknown.txt",
-      "--alpha", "0.5"], "unknown.txt:1: unknown vertex 9"),
+      "--alpha", "0.5"], "unknown.txt: line 1: unknown vertex 9"),
     (["enumerate", "--input", "{tmp}/co.txt", "--prob-model", "coauthor",
       "--alpha", "0.5"],
      "co.txt: line 2: paper count 'x' is not an integer"),
@@ -433,11 +469,11 @@ class TestBench:
       "coauthor", "--alpha", "0.5"],
      "co-plus.txt: line 1: paper count '+3' is not an integer"),
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-under.txt",
-      "--alpha", "0.5"], "c-under.txt:1: malformed clique line"),
+      "--alpha", "0.5"], "c-under.txt: line 1: malformed clique line"),
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-plus.txt",
-      "--alpha", "0.5"], "c-plus.txt:2: malformed clique line"),
+      "--alpha", "0.5"], "c-plus.txt: line 2: malformed clique line"),
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-digit.txt",
-      "--alpha", "0.5"], "c-digit.txt:1: malformed clique line"),
+      "--alpha", "0.5"], "c-digit.txt: line 1: malformed clique line"),
     # ... and the same syntax in an option
     (["enumerate", "--input", "{graph}", "--alpha", "0.5_0"],
      "argument --alpha: invalid number value: '0.5_0'"),
@@ -537,7 +573,7 @@ def test_a_comment_may_hold_any_byte(tmp_path, capsys):
 @pytest.mark.parametrize("name, data, message", [
     ("g.txt", b"1 2 0.9\n2 3 0.\xe98\n",
      "g.txt: line 2: '_' or non-ASCII character"),
-    ("c.txt", b"0.9 1 2\n0.8 2 \xe93\n", "c.txt:2: malformed clique line"),
+    ("c.txt", b"0.9 1 2\n0.8 2 \xe93\n", "c.txt: line 2: malformed clique line"),
 ], ids=["graph", "cliques"])
 def test_a_non_ascii_byte_outside_a_comment_exits_2(path_graph, tmp_path,
                                                    capsys, name, data,
@@ -643,6 +679,23 @@ def test_endless_line_is_refused_at_once():
     code = ("import sys; from umc.cli import main; "
             "sys.exit(main(['enumerate', '--input', '/dev/zero', "
             "'--alpha', '0.5']))")
+    src = str(Path(umc.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: /dev/zero: line 1: line longer than 65536 characters\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_clique_line_is_refused_at_once(tmp_path):
+    """Ten million declared vertices and one edge: a clique has at most two
+    vertices, so the clique stream's line bound is a graph file's and
+    /dev/zero is refused after its first 64 KiB."""
+    graph = tmp_path / "wide.txt"
+    graph.write_text("n 10000000\n1 2 0.5\n")
+    code = ("import sys; from umc.cli import main; "
+            f"sys.exit(main(['verify', '--input', {str(graph)!r}, "
+            "'--cliques', '/dev/zero', '--alpha', '0.5']))")
     src = str(Path(umc.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=10)

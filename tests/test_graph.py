@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -23,6 +24,7 @@ from umc.graph import (
     clique_probability,
     dump_graph,
     is_alpha_maximal,
+    load_cliques,
     load_graph,
     prune_by_alpha,
 )
@@ -189,6 +191,20 @@ class TestLoadGraph:
         else:
             assert list(got) == list(enumerate(lines, 1))
 
+    def test_a_line_of_twenty_million_characters_is_refused_promptly(self):
+        """The pieces of a line are joined once, so reading up to a bound
+        of 2*10**7 characters takes time in the line's length; copying
+        the unfinished line on every piece took seconds."""
+        class Endless:
+            def read(self, size):
+                return "x" * size
+
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError) as info:
+            list(graph.bounded_lines(Endless(), 2 * 10**7))
+        assert time.perf_counter() - start < 2.0
+        assert str(info.value) == "line 1: line longer than 20000000 characters"
+
     def test_round_trip_is_bit_exact(self):
         g = parse("n 4\n1 2 0.12345678901234567\n2 3 0.9999999999999999\n")
         buf = io.StringIO()
@@ -206,6 +222,64 @@ def assert_rows_ascending_and_symmetric(g):
             assert g.row(v)[u] == p
             assert g.edge_prob(u, v) == g.edge_prob(v, u) == p
             assert v in g.adj_set(u)
+
+
+class TestLoadCliques:
+    G = parse("n 4\n1 2 0.9\n2 3 0.8\n1 3 0.5\n")
+
+    def cliques(self, text, g=G):
+        return load_cliques(io.StringIO(text), g)
+
+    def test_entries_in_line_order_with_ascending_indices(self):
+        text = "# c\n\n0.36 3 1 2\n  0.9 2 1\n1 4\n"
+        assert self.cliques(text) == [(3, 0.36, (0, 1, 2)), (4, 0.9, (0, 1)),
+                                      (5, 1.0, (3,))]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.9 1 2\n0.9\n", "line 2: expected '<prob> <v1> ...'"),
+        ("x 1 2\n", "line 1: malformed clique line"),
+        ("0.9_0 1 2\n", "line 1: malformed clique line"),
+        ("0.9 1 2\n0.8 +2 3\n", "line 2: malformed clique line"),
+        ("0.8 \u0662 3\n", "line 1: malformed clique line"),
+        ("0.8 2 \udce93\n", "line 1: malformed clique line"),
+        ("1 3 3\n", "line 1: malformed clique line (repeated vertex)"),
+        ("1.0 9\n", "line 1: unknown vertex 9"),
+    ], ids=["one-token", "prob", "underscore", "plus", "non-ascii-digit",
+            "surrogate", "repeated-vertex", "unknown-vertex"])
+    def test_single_fault_message(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            self.cliques(text)
+        assert str(info.value) == message
+        assert info.value.line_no == int(message.split()[1].rstrip(":"))
+
+    def test_bound_follows_the_edge_count(self):
+        """A million declared vertices and one edge hold cliques of at
+        most two vertices, so the bound is a graph file's."""
+        wide = parse("n 1000000\n1 2 0.5\n")
+        text = "0.5 1 2\n#" + "x" * graph.MAX_LINE + "\n"
+        with pytest.raises(GraphFormatError) as info:
+            self.cliques(text, wide)
+        assert str(info.value) == (
+            f"line 2: line longer than {graph.MAX_LINE} characters")
+
+    @pytest.mark.parametrize("m, k", [(190, 20), (189, 19)])
+    def test_bound_holds_the_largest_clique_the_edges_allow(self, m, k):
+        """Twenty labels of 4,000 digits: m edges of K20 hold a clique of
+        k vertices at most, so a line may hold a probability and k labels
+        and, a comment too, no more."""
+        labels = [10**3999 + i for i in range(20)]
+        pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        g = UncertainGraph(20, [(u, v, 1.0) for u, v in pairs[:m]], labels)
+        limit = 32 + k * 4001
+        assert limit > graph.MAX_LINE
+        comment = "#" + "x" * (limit - 1)
+        line = "1 " + " ".join(map(str, labels[:k]))
+        assert self.cliques(comment + "\n" + line, g) == [
+            (2, 1.0, tuple(range(k)))]
+        with pytest.raises(GraphFormatError) as info:
+            self.cliques(comment + "x", g)
+        assert str(info.value) == (
+            f"line 1: line longer than {limit} characters")
 
 
 class TestUncertainGraph:

@@ -2,8 +2,9 @@
 allocates while a BA n=2000 graph is loaded and size-filtered (the front
 end of `umc enumerate`), per input edge, from a file in dump_graph order
 and from a header-less copy with shuffled labels; while an ER graph is
-generated, against the bytes the result keeps and per edge; and while a
-BA graph is built, per edge."""
+generated, against the bytes the result keeps and per edge; while a
+BA graph is built, per edge; and while `umc bench` sweeps three graphs,
+against its peak for one."""
 
 import gc
 import random
@@ -12,6 +13,7 @@ import tracemalloc
 import pytest
 
 from umc import graph
+from umc.cli import main
 from umc.algorithms import shared_neighborhood_filter
 from umc.generators import GenSpec, gen_erdos_renyi
 from umc.graph import dump_graph, load_graph
@@ -36,6 +38,9 @@ ER_PEAK_BOUND = 1.5
 # sort of its edges into the graph's order.
 ER_PEAK_PER_EDGE = 24
 BA_BUILD_PEAK_PER_EDGE = 140
+# `umc bench` over three BA n=2000 specs against one: 2.85 when it held
+# every graph to the end; 1.0 with one graph at a time.
+BENCH_THREE_GRAPHS_PEAK_RATIO = 1.2
 
 
 def load(path):
@@ -137,3 +142,16 @@ def test_barabasi_albert_build_peak():
     g, _, peak = traced(GenSpec("ba", n=2000, m=10, seed=1).build)
     m = g.num_edges
     assert peak <= BA_BUILD_PEAK_PER_EDGE * m, peak / m
+
+
+def test_bench_holds_one_graph_at_a_time(tmp_path):
+    def bench(*specs):
+        gens = [arg for spec in specs for arg in ("--gen", spec)]
+        assert main(["bench", *gens, "--alphas", "0.9",
+                     "--csv", str(tmp_path / "b.csv")]) == 0
+
+    bench("ba:n=20,m=2")  # the imports are not the graphs'
+    _, _, one = traced(lambda: bench("ba:n=2000,m=10,seed=1"))
+    _, _, three = traced(lambda: bench(*(f"ba:n=2000,m=10,seed={seed}"
+                                         for seed in (1, 2, 3))))
+    assert three <= BENCH_THREE_GRAPHS_PEAK_RATIO * one, three / one
