@@ -126,9 +126,9 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     made before the clock starts.  The enumerators are looked up as module
     globals at call time, not through a table built at import, so a caller
     that replaces one on this module (to trace it, say) sees its
-    replacement run.  That holds on this serial path only: cmd_enumerate's
-    parallel path (umc.parallel) calls size_filter and the search kernel
-    directly, and looks up format_batch in its own module's globals.
+    replacement run.  That holds for this sink only: umc.parallel's claim
+    loop, which writes every mule run whose output has a descriptor, calls
+    size_filter and the kernel directly and looks up format_batch itself.
     """
     if algo == "dfs-noip":
         g = prune_by_alpha(g, alpha)
@@ -150,10 +150,10 @@ def cmd_enumerate(args) -> int:
     out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
     if out is None:  # the interpreter started with file descriptor 1 closed
         raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
-    workers = parallel.available_workers(out) if args.algo == "mule" else 1
+    workers = parallel.available_workers(out) if args.algo == "mule" else 0
     try:
         try:
-            if workers > 1:
+            if workers:
                 count, ms = parallel.enumerate_into(
                     out, g, alpha, args.min_size, workers)
             else:
@@ -165,8 +165,8 @@ def cmd_enumerate(args) -> int:
         finally:
             if args.out:
                 out.close()  # its last flush can fail like any write
-    # On the parallel path any other OSError is the spool files', not out's.
-    except (parallel.OutputError if workers > 1 else OSError) as exc:
+    # In the claim loop any other OSError is the spool files', not out's.
+    except (parallel.OutputError if workers else OSError) as exc:
         if not args.out:
             # What stdout still buffers goes to devnull, not to a failed flush.
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -199,7 +199,8 @@ def cmd_verify(args) -> int:
             failures += 1
             continue
         seen.add(verts)
-        if not is_alpha_maximal(g, verts, alpha):
+        if not (verts in expected if args.complete
+                else is_alpha_maximal(g, verts, alpha)):
             print(f"NOT ALPHA-MAXIMAL line {line_no}: {names}")
             failures += 1
             continue
@@ -211,9 +212,6 @@ def cmd_verify(args) -> int:
     if args.complete:
         for verts in sorted(expected - seen):
             print(f"MISSING: {[g.label(v) for v in verts]}")
-            failures += 1
-        for verts in sorted(seen - expected):
-            print(f"EXTRA: {[g.label(v) for v in verts]}")
             failures += 1
     if failures:
         print(f"verification failed: {failures} violation(s)", file=sys.stderr)

@@ -174,11 +174,10 @@ class GenSpec(NamedTuple):
         return cls.checked(family, n, **fields)
 
     def label(self) -> str:
-        if self.family == "ba":
-            return f"ba{self.n}-m{self.m}-s{self.seed}"
-        if self.family == "er":
-            return f"er{self.n}-d{self.density}-s{self.seed}"
-        return f"extremal{self.n}-a{self.alpha}"
+        """The family and n, then each key the family reads by its initial
+        and value: "ba2000-m10-s1", "er12-d0.5-s0", "extremal16-a0.5"."""
+        return "-".join([f"{self.family}{self.n}"] + [
+            f"{key[0]}{getattr(self, key)}" for key in self.KEYS[self.family]])
 
     def build(self) -> UncertainGraph:
         if self.family not in self.KEYS:

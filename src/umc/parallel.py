@@ -1,23 +1,23 @@
-"""`umc enumerate` with the root subtrees searched in worker processes.
+"""The claim loop that writes `umc enumerate --algo mule` output.
 
 Each root vertex's subtree depends on that root alone (see
 algorithms._enumerate), so the roots can be searched in any process and
-in any order.  The parent loads and size-filters the graph once, and
-builds the filtered graph's rows (enumerate_into does), then forks; the
-workers share the graph and its rows copy-on-write.  Every worker, the
-parent among them, claims roots from a counter in a shared ledger file,
-searches them, formats their cliques and writes them to its own
-temporary file, one segment per claim, recording each segment in the
-ledger.  The kernel hands out every clique through its one
-output, emit(c, u, q, ext), where c is the clique tuple of the search
-frame the clique comes from, shared by all the frame's cliques (see
-algorithms._enumerate).  Labels ascend with the index (see umc.graph),
-so a worker joins each frame's labels once, and graph.format_batch adds
-the last one or two labels of each clique from label strings built in
-the process that formats.  It is looked up in this module's globals at
-call time.  Once every worker has finished, the parent copies the
-segments into the output in claim order, which is root order, so the
-output is byte for byte that of a serial run.
+in any order.  The kernel hands out every clique through its one output,
+emit(c, u, q, ext), where c is the clique tuple of the search frame, shared
+by all the frame's cliques.  Labels ascend with the index (see umc.graph),
+so a worker joins each frame's labels once, and graph.format_batch, looked
+up in this module's globals at call time, adds each clique's last one or
+two labels.  A worker hands on its lines BUFFER_LINES at a time.
+
+One worker (one CPU, a live thread, no os.fork) searches every root in
+this process and writes each buffer straight to the output's descriptor,
+so the output streams, with no ledger, temporary file or fork.  Two or
+more share the size-filtered graph and its rows, built before the fork,
+copy-on-write.  Each, the parent among them, claims roots from a counter
+in a shared ledger file and writes their lines to its own temporary file,
+one segment per claim, recorded in the ledger.  Once every worker has
+finished, the parent copies the segments into the output in claim order,
+which is root order, so the output is byte for byte that of one worker.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -51,44 +51,54 @@ class OutputError(OSError):
 
 
 def available_workers(out) -> int:
-    """How many processes may search for out: the CPUs this process may
-    run on, or 1 when the parallel path cannot serve it (out has no
-    descriptor, the platform cannot fork, or another thread is running,
-    which fork would copy in an unknown state)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
+    """How many processes may search for out: 0 when out has no
+    descriptor, else the CPUs this process may run on, or 1 where it
+    cannot fork (no os.fork or os.sched_getaffinity) or another thread
+    runs, which fork would copy in an unknown state."""
     try:
         out.fileno()
     except (AttributeError, OSError, ValueError):
+        return 0
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
 
 
 def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                    workers: int) -> tuple[int, float]:
     """Write the clique-stream lines (graph.format_clique's) of g's
-    alpha-maximal cliques with at least t vertices to out, in the order
-    large_mule emits them, using at most `workers` processes (this one
-    included).  Returns the clique count, taken from the lines copied
-    (one line per clique), and the milliseconds spent from the size
-    filter to the last byte copied, as cli._run_enumeration does for its
-    sink.  The filtered graph's rows are built here, before the fork, so
-    that the workers share one copy of them.
+    alpha-maximal cliques with at least t vertices to out's descriptor,
+    in the order large_mule emits them, using at most `workers` (>= 1)
+    processes, this one included.  Returns the clique count (the lines
+    written) and the milliseconds from the size filter to the last byte
+    written, as cli._run_enumeration does for its sink.
 
     One claim is handed out per root that starts a search; it also covers
-    the roots just before it that start none, and the last claim covers
-    every root after it.  Raises WorkerError, after killing and reaping
-    the other workers, when one exits nonzero; that worker has printed its
-    traceback to file descriptor 2.  Raises OutputError when flushing or
-    writing out fails; a failure on the spool side keeps its exception.
+    the roots just before it that start none, and the last claim every
+    root after it.  One claim is searched here, with no fork.  Raises
+    WorkerError, after killing and reaping the other workers, when one
+    exits nonzero; it has printed its traceback to file descriptor 2.
+    Raises OutputError when flushing or writing out fails; a failure on
+    the spool side keeps its exception.
     """
     start = time.perf_counter()
     g = size_filter(g, alpha, t)
-    g.rows()  # built before the fork, so every worker shares them
-    ends = [u + 1 for u in search_roots(g, alpha, t)][:-1] + [g.n]
-    workers = max(1, min(workers, len(ends)))
+    if workers > 1:
+        g.rows()  # built before the fork, so every worker shares them
+        ends = [u + 1 for u in search_roots(g, alpha, t)][:-1] + [g.n]
+        workers = min(workers, len(ends))
+    _output(out.flush)
+    if workers > 1:
+        count = _fan_out(out.fileno(), g, alpha, t, ends, workers)
+    else:  # search here, writing straight to out
+        count = _work(g, alpha, t, lambda flush: range(g.n),
+                      lambda data: _send(out.fileno(), data))
+    return count, (time.perf_counter() - start) * 1000.0
+
+
+def _fan_out(out: int, g, alpha, t, ends, workers: int) -> int:
+    """Search the claims in `workers` processes, this one as worker 0,
+    then copy their segments to out; returns the lines copied."""
     files = []  # the ledger, then one spool per worker
     pids: list[int] = []
     try:
@@ -98,31 +108,26 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
         os.ftruncate(ledger, _COUNTER.size + _SEGMENT.size * len(ends))
 
         def work(w):
-            _work(w, spools[w], ledger, ends, g, alpha, t)
+            _spool(w, spools[w], ledger, ends, g, alpha, t)
 
         for w in range(1, workers):
             pids.append(_fork(work, w))
         work(0)
         while pids:
-            _, status = os.waitpid(pids[0], 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             del pids[0]
-            if status:
-                code = os.waitstatus_to_exitcode(status)
+            if code:
                 raise WorkerError(f"a search worker exited with status {code}")
         segments = _SEGMENT.iter_unpack(os.pread(
             ledger, _SEGMENT.size * len(ends), _COUNTER.size))
-        _output(out.flush)
-        count = sum(_copy(spools[w].fileno(), out.fileno(), offset,
-                          offset + length)
-                    for w, offset, length in segments)
+        return sum(_copy(spools[w].fileno(), out, offset, offset + length)
+                   for w, offset, length in segments)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        for pid in pids:
             os.waitpid(pid, 0)
         for fh in files:
             fh.close()
-    return count, (time.perf_counter() - start) * 1000.0
 
 
 def _fork(work, w: int) -> int:
@@ -132,27 +137,44 @@ def _fork(work, w: int) -> int:
     pid = os.fork()
     if pid:
         return pid
-    status = 1
     try:
         work(w)
-        status = 0
+        os._exit(0)
     except BaseException:
         import traceback  # only a failing worker pays for the import
 
         os.write(2, traceback.format_exc().encode(errors="replace"))
         raise  # no further than the os._exit below
     finally:
-        os._exit(status)
+        os._exit(1)  # also when printing the traceback fails
 
 
-def _work(w, spool, ledger, ends, g, alpha, t) -> None:
-    """Worker w: claim, search, format and spool until no claim is left."""
+def _spool(w, spool, ledger, ends, g, alpha, t) -> None:
+    """Worker w of several: claim, search, format and spool until no
+    claim is left, recording each claim's segment in the ledger."""
+    def claims(flush):
+        while (k := _claim(ledger)) < len(ends):
+            offset = spool.tell()
+            yield from range(ends[k - 1] if k else 0, ends[k])
+            flush()
+            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
+                      _COUNTER.size + _SEGMENT.size * k)
+
+    _work(g, alpha, t, claims, spool.write)
+    spool.flush()
+
+
+def _work(g, alpha, t, roots, write) -> int:
+    """Search the roots that roots(flush) yields and hand their lines to
+    write() as bytes: BUFFER_LINES at a time, when roots calls flush() and
+    at the end.  Returns the sum of what write() returned."""
     lines: list[str] = []
+    written: list[int] = []  # write()'s result for each buffer
 
     def flush():
         if lines:
             lines.append("")
-            spool.write("\n".join(lines).encode("ascii"))
+            written.append(write("\n".join(lines).encode("ascii")))
             lines.clear()
 
     frame = head = None  # the last output's frame clique and its labels
@@ -166,16 +188,9 @@ def _work(w, spool, ledger, ends, g, alpha, t) -> None:
         if len(lines) >= BUFFER_LINES:
             flush()
 
-    def roots():
-        while (k := _claim(ledger)) < len(ends):
-            offset = spool.tell()
-            yield from range(ends[k - 1] if k else 0, ends[k])
-            flush()
-            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
-                      _COUNTER.size + _SEGMENT.size * k)
-
-    _enumerate(g, alpha, emit, roots(), t, check_invariants=False)
-    spool.flush()
+    _enumerate(g, alpha, emit, roots(flush), t, check_invariants=False)
+    flush()
+    return sum(written)
 
 
 def _claim(ledger: int) -> int:
@@ -191,17 +206,25 @@ def _claim(ledger: int) -> int:
 
 def _copy(src: int, dst: int, offset: int, end: int) -> int:
     """Copy bytes offset..end of src to dst's current position, one pread
-    and one write of at most COPY_CHUNK bytes at a time; returns the
-    number of lines copied.  Only a failed write raises OutputError."""
+    and one _send of at most COPY_CHUNK bytes at a time; returns the
+    number of lines copied."""
     lines = 0
     while offset < end:
         data = os.pread(src, min(end - offset, COPY_CHUNK), offset)
         if not data:
             raise EOFError(f"spool ended at byte {offset} of {end}")
-        sent = _output(os.write, dst, data)
-        lines += data.count(b"\n", 0, sent)
-        offset += sent
+        lines += _send(dst, data)
+        offset += len(data)
     return lines
+
+
+def _send(fd: int, data: bytes) -> int:
+    """Write all of data to fd; returns the number of lines in it.  Only a
+    failed write raises, as OutputError, and it leaves nothing buffered."""
+    view = memoryview(data)
+    while view:
+        view = view[_output(os.write, fd, view):]
+    return data.count(b"\n")
 
 
 def _output(call, *args):

@@ -246,6 +246,42 @@ class TestVerify:
                      str(cliques), "--alpha", "0.5"]) == 0
         assert capsys.readouterr().err == "verification ok\n"
 
+    @pytest.fixture
+    def triangle(self, tmp_path):
+        """0.6 * (0.2 * 0.7) rounds below 0.084 and 0.2 * (0.6 * 0.7)
+        does not; in exact arithmetic {1, 2, 3} lies below alpha, so the
+        exact reference expects the three edges."""
+        g = tmp_path / "tri.txt"
+        g.write_text("n 3\n1 2 0.6\n1 3 0.2\n2 3 0.7\n")
+        cliques = tmp_path / "c.txt"
+
+        def verify_args(text):
+            cliques.write_text(text)
+            return ["verify", "--input", str(g), "--cliques", str(cliques),
+                    "--alpha", "0.084", "--complete"]
+        return verify_args
+
+    def test_complete_judges_maximality_by_the_exact_reference(
+            self, triangle, tmp_path, capsys):
+        assert main(["enumerate", "--input", str(tmp_path / "tri.txt"),
+                     "--alpha", "0.084", "--out", str(tmp_path / "m.txt")]) == 0
+        mule = (tmp_path / "m.txt").read_text()
+        assert [ln.split()[1:] for ln in mule.splitlines()] == [["1", "2"],
+                                                              ["2", "3"]]
+        capsys.readouterr()
+        assert main(triangle(mule)) == 1
+        out, err = capsys.readouterr()
+        assert out == "MISSING: [1, 3]\n"
+        assert err == "verification failed: 1 violation(s)\n"
+
+    def test_complete_reports_an_extra_line_once(self, triangle, capsys):
+        assert main(triangle("1 1 2 3\n")) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["NOT ALPHA-MAXIMAL line 1: [1, 2, 3]",
+                                    "MISSING: [1, 2]", "MISSING: [1, 3]",
+                                    "MISSING: [2, 3]"]
+        assert err == "verification failed: 4 violation(s)\n"
+
     def test_malformed_later_line_stops_before_any_verdict(
             self, path_graph, tmp_path, capsys):
         # line 1 alone would be reported NOT ALPHA-MAXIMAL

@@ -266,6 +266,8 @@ class TestGenSpec:
     def test_a_spec_without_seed_is_labelled_s0(self):
         assert GenSpec.parse("ba:n=10,m=2").label() == "ba10-m2-s0"
         assert GenSpec.parse("er:n=12").label() == "er12-d0.5-s0"
+        assert (GenSpec.parse("extremal:n=16,alpha=0.5").label()
+                == "extremal16-a0.5")
 
     def test_build_round_trip(self):
         g = GenSpec.parse("er:n=12,density=0.5,seed=1").build()

@@ -1,6 +1,9 @@
-"""The parallel path of `umc enumerate` (umc.parallel) against the serial
-one: the bytes must be equal, a failing worker must end the run, and the
-cases the parallel path cannot serve must take the serial path.
+"""The claim loop of `umc enumerate` (umc.parallel) against the serial
+sink (cli._run_enumeration with graph.format_clique), which stays the
+reference: the bytes must be equal at one worker and at several, one
+worker must search in process and stream its output, a failing worker
+must end the run, and an output without a descriptor and `--algo
+dfs-noip` must take the sink.
 
 No test starts more processes than os.sched_getaffinity(0) allows, and
 every wait has a timeout."""
@@ -8,6 +11,7 @@ every wait has a timeout."""
 import errno
 import io
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -73,7 +77,9 @@ def graphs_with_isolated_vertices(draw):
 @given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
        st.integers(min_value=1, max_value=4))
 def test_parallel_bytes_equal_serial_bytes(g, alpha, t):
-    assert parallel_bytes(g, alpha, t) == serial_bytes(g, alpha, t)
+    expected = serial_bytes(g, alpha, t)
+    assert parallel_bytes(g, alpha, t) == expected
+    assert parallel_bytes(g, alpha, t, workers=1) == expected
 
 
 @st.composite
@@ -160,6 +166,85 @@ def test_ba_graph_size_threshold(ba2000):
                 == serial_bytes(ba2000, 0.1, t))
 
 
+@pytest.fixture(scope="module")
+def er400():
+    return GenSpec("er", 400, density=0.01, seed=3).build()
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.3])
+def test_sparse_er_graph(er400, alpha):
+    """Singletons (5 at alpha 0.001, 18 at 0.3) and 2- and 3-cliques, so
+    the sink's format_clique meets format_batch on those."""
+    expected = serial_bytes(er400, alpha, 1)
+    assert parallel_bytes(er400, alpha, 1) == expected
+    assert parallel_bytes(er400, alpha, 1, workers=1) == expected
+
+
+def test_one_worker_streams_into_a_pipe(monkeypatch):
+    """The search is held once BUFFER_LINES lines are formatted, and line 1
+    reaches the reader of the pipe before the hold is released."""
+    g = build_extremal_graph(16, 0.5)
+    expected = serial_bytes(g, 0.5, 1)[1]
+    release = threading.Event()
+    formatted = 0
+    real = parallel.format_batch
+
+    def held_format_batch(*args):
+        nonlocal formatted
+        if formatted >= parallel.BUFFER_LINES:
+            release.wait(TIMEOUT_S)
+        lines = real(*args)
+        formatted += len(lines)
+        return lines
+
+    monkeypatch.setattr(parallel, "format_batch", held_format_batch)
+    r, w = os.pipe()
+    counts = []
+
+    def search(out):
+        with out:
+            counts.append(parallel.enumerate_into(out, g, 0.5, 1, 1)[0])
+
+    with os.fdopen(r, "rb") as reader:
+        thread = threading.Thread(target=search, args=(os.fdopen(w, "w"),))
+        thread.start()
+        try:
+            ready, _, _ = select.select([reader], [], [], TIMEOUT_S)
+            first = reader.readline() if ready else b""
+            held = thread.is_alive() and not release.is_set()
+        finally:
+            release.set()
+        rest = reader.read()  # ends when the search closes its end
+    thread.join(TIMEOUT_S)
+    assert not thread.is_alive()
+    assert first == expected[:expected.index(b"\n") + 1]
+    assert held
+    assert first + rest == expected
+    assert counts == [expected.count(b"\n")]
+
+
+@pytest.mark.parametrize("flags", [[], ["--min-size", "3"]],
+                         ids=["mule", "large-mule"])
+def test_one_cpu_searches_in_process(k12, forks, tmp_path, monkeypatch,
+                                     flags):
+    """Pinned to one CPU, the claim loop runs as one worker, in process:
+    no fork, no temporary file, no Clique formatted by the sink."""
+    g = cli._load_file(str(k12), "prob")
+    expected = serial_bytes(g, 0.5, 3 if flags else 1)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on the one-worker path")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "format_clique", refuse)
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    out = tmp_path / "c.txt"
+    assert cli.main(["enumerate", "--input", str(k12), "--alpha", "0.5",
+                     "--out", str(out), *flags]) == 0
+    assert forks == []
+    assert out.read_bytes() == expected
+
+
 @pytest.fixture
 def k12(tmp_path):
     path = tmp_path / "k12.txt"
@@ -239,6 +324,7 @@ def test_serial_only_options(k12, forks, tmp_path):
 
 
 def test_live_thread_takes_serial_path(k12, forks, tmp_path):
+    """A live thread makes the run one worker, searched in process."""
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(TIMEOUT_S,))
     thread.start()
