@@ -19,9 +19,7 @@ dict lookup per candidate; a child left with no extension candidates,
 or with one (whose one child is then a leaf), is decided in place,
 without a frame.  A factor ceiling, a bound on every cached factor of a
 frame, decides cliques at the threshold unscanned and hands them over as
-one batch.  A frame's exclusion list is built only when a child of the
-frame needs it; until then a leaf's witness test reads the parent's list
-through both rows.
+one batch.  Every frame is pushed with its exclusion list built.
 The search has one output, emit(c, u, q, ext) (see _enumerate), for
 single cliques and batches alike, and counts nothing: large_mule's
 adapter builds each Clique for its sink and counts, and umc.parallel
@@ -41,7 +39,7 @@ sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
 
 from __future__ import annotations
 
-from itertools import compress, groupby, islice, repeat
+from itertools import compress, groupby, repeat
 from operator import contains, le
 from typing import Callable
 
@@ -73,23 +71,16 @@ class _Frame:
     excl     exclusion witnesses (v, s), v < max(clique), v not in clique;
              q*s is the probability of clique+{v} and is >= alpha
     cap      factor ceiling: bounds every factor ext and excl ever hold
-    parent   None once excl is complete.  Otherwise excl holds only the
-             siblings appended since the push, and the rest of the list
-             is the parent's first plen entries (parent.excl is complete)
-             filtered through max(clique)'s row; _search builds it when
-             a child of this frame needs it (see _search).
     """
 
-    __slots__ = ("clique", "q", "ext", "excl", "cap", "parent", "plen", "i")
+    __slots__ = ("clique", "q", "ext", "excl", "cap", "i")
 
-    def __init__(self, clique, q, ext, excl, cap, parent=None, plen=0):
+    def __init__(self, clique, q, ext, excl, cap):
         self.clique = clique
         self.q = q
         self.ext = ext
         self.excl = excl
         self.cap = cap
-        self.parent = parent
-        self.plen = plen
         self.i = 0  # next extension index to process
 
 
@@ -216,18 +207,13 @@ def _search(g, rows, root, rowmax, alpha, emit, t, *, check_invariants):
     (q2*cap2)*cap2 < alpha no child of C+{u} can be extended: each is a
     leaf with no witness, and the batch goes to emit as (C, u, q2, ext2).
     In all three, C is fr's own clique tuple.  The ceiling only skips
-    tests that would fail, so the output is unchanged; under
-    check_invariants the tests run anyway and must agree.
+    tests that would fail, so the output is unchanged.
 
-    A pushed frame's exclusion list is lazy (see _Frame): most frames
-    have only leaf children, whose witness tests stop at the first
-    survivor, so a full list is built only for a frame that pushes a
-    child frame or decides a child with one candidate.  Until then a
-    leaf's test scans the frame's later siblings, then the parent's list
-    through the frame vertex's row and the leaf's, with the same products
-    in the same order as the full list would hold them.  Under
-    check_invariants every child with candidates gets a frame, and every
-    list is built at the push and checked.
+    Every other child C+{u} is pushed with its exclusion list built, fr's
+    list filtered through u's row.  Under check_invariants every child's
+    candidate sets are checked, neither shortcut runs and every child with
+    candidates gets a frame, so that mode is the reference the shortcuts
+    are compared against.
     """
     # Explicit frame stack: depth reaches the largest clique size, up to n,
     # far beyond what native recursion survives.
@@ -251,37 +237,25 @@ def _search(g, rows, root, rowmax, alpha, emit, t, *, check_invariants):
         if len(c) + 1 + len(ext2) < t:
             continue  # subtree cannot reach the size threshold
         if check_invariants:
-            c2 = c + (u,)
-            excl2 = _filter(rows, u, q2, fr.excl, alpha)
-            _check_frame(g, c2, q2, ext2, excl2, alpha)
-            if ext2:
-                stack.append(_Frame(c2, q2, ext2, excl2, fr.cap * rowmax[u]))
-            elif not excl2:
+            _check_frame(g, c + (u,), q2, ext2,
+                         _filter(rows, u, q2, fr.excl, alpha), alpha)
+        if not ext2:
+            if not _has_witness(rows, u, q2, fr.excl, alpha):
                 emit(c, u, q2, None)
-        elif not ext2:
-            if not (_has_witness(rows, u, q2, fr.excl, alpha)
-                    or fr.parent is not None and _has_inherited_witness(
-                        rows, c[-1], fr.q, u, q2,
-                        islice(fr.parent.excl, fr.plen), alpha)):
-                emit(c, u, q2, None)
-        elif q2 * (cap2 := fr.cap * rowmax[u]) * cap2 < alpha:
+        elif (q2 * (cap2 := fr.cap * rowmax[u]) * cap2 < alpha
+              and not check_invariants):
             if len(c) + 2 >= t:
                 emit(c, u, q2, ext2)
+        elif len(ext2) > 1 or check_invariants:
+            stack.append(_Frame(c + (u,), q2, ext2,
+                                _filter(rows, u, q2, fr.excl, alpha), cap2))
         else:
-            if fr.parent is not None:
-                fr.excl = _filter(rows, c[-1], fr.q,
-                                  fr.parent.excl[:fr.plen], alpha) + fr.excl
-                fr.parent = None
-            if len(ext2) > 1:
-                stack.append(_Frame(c + (u,), q2, ext2, [], cap2, fr,
-                                    len(fr.excl)))
-            else:
-                # C+u's one child, C+u+w, is a leaf: decided here, as its
-                # frame would decide it, without the frame
-                w, r2 = ext2[0]
-                if not _has_inherited_witness(rows, u, q2, w, q2 * r2,
-                                              fr.excl, alpha):
-                    emit(c, u, q2, ext2)
+            # C+u's one child, C+u+w, is a leaf: decided here, as its
+            # frame would decide it, without the frame
+            w, r2 = ext2[0]
+            if not _has_inherited_witness(rows, u, q2, w, q2 * r2,
+                                          fr.excl, alpha):
+                emit(c, u, q2, ext2)
         # u's subtree is settled before any later sibling is expanded, so
         # u is already a maximality witness for everything to its right.
         fr.excl.append(entry)

@@ -352,7 +352,8 @@ def load_graph(source: TextIO, prob_parser=float) -> UncertainGraph:
 
     Lines are "u v p" with positive integer labels u != v and p in (0, 1],
     and no line, comments included, holds more than MAX_LINE characters;
-    '#' starts a comment; an optional leading header "n <count>" declares
+    a line whose first token starts with '#' is a comment (a '#' after
+    the first token is not); an optional leading header "n <count>" declares
     the vertex count (and thereby isolated vertices), in which case labels
     must lie in 1..count.  Without a header, vertices are the union of the
     endpoints.  Either way internal indices follow ascending label order,

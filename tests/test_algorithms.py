@@ -255,21 +255,19 @@ class TestFactorCeiling:
 
 class TestLazyExclusionLists:
     # Labels; the internal indices are one less.  Root 2's list is [1].
-    # Its child {2,3} has one extension candidate, 4, and is decided in
-    # place; with vertex 5 it has two, 4 and 5, and is pushed with a lazy
-    # list.  Either way the leaf {2,3,4} is decided by the scan of root
-    # 2's list through the rows of 3 and then 4, which finds 1 or not.
+    # Its child {2,3} has one extension candidate, 4, so it is decided in
+    # place and its own list is never built: the leaf {2,3,4} is decided
+    # by the scan of root 2's list through the rows of 3 and then 4,
+    # which finds 1 or not.
     @pytest.mark.parametrize("edge_14, found", [
         ("1 4 0.9\n", True),
         ("", False),  # 1 is not adjacent to 4
         ("1 4 0.3\n", False),  # {1,2,3,4} is below alpha (0.177)
-    ], ids=["witness", "not-adjacent", "below-alpha"])
-    @pytest.mark.parametrize("vertex_5", [False, True],
-                             ids=["in-place", "lazy-frame"])
+    ], ids=["in-place-witness", "in-place-not-adjacent",
+            "in-place-below-alpha"])
     def test_leaf_decided_through_the_parent_list(self, edge_14, found,
-                                                 vertex_5, monkeypatch):
-        g = parse("1 2 0.9\n1 3 0.9\n2 3 0.9\n2 4 0.9\n3 4 0.9\n"
-                  + edge_14 + ("2 5 0.9\n3 5 0.9\n" if vertex_5 else ""))
+                                                 monkeypatch):
+        g = parse("1 2 0.9\n1 3 0.9\n2 3 0.9\n2 4 0.9\n3 4 0.9\n" + edge_14)
         pushed = count_frames(monkeypatch)
         scans = []
         real = algorithms._has_inherited_witness
@@ -283,34 +281,9 @@ class TestLazyExclusionLists:
         monkeypatch.setattr(algorithms, "_has_inherited_witness", spy)
         got = collect(mule, g, 0.5)
         assert (2, 3, [0], found) in scans
-        assert ((1, 2) in [c for c, _ in pushed]) == vertex_5
+        assert (1, 2) not in [c for c, _ in pushed]
         assert set(got) == exact_enumerate(g, 0.5).vertex_sets()
         assert got == collect(mule, g, 0.5, check_invariants=True)
-
-    def test_a_frame_without_a_child_frame_keeps_its_list_lazy(
-            self, monkeypatch):
-        # K6 at p = 0.95, alpha = 0.5: the 3-cliques are frames whose
-        # children are decided by the factor ceiling or are leaves.
-        # Root frames start with their lists built.
-        g = UncertainGraph(6, [(u, v, 0.95) for u in range(6)
-                               for v in range(u + 1, 6)])
-        frames = []
-
-        class RecordingFrame(algorithms._Frame):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                frames.append(self)
-
-        monkeypatch.setattr(algorithms, "_Frame", RecordingFrame)
-        assert len(collect(mule, g, 0.5)) == 6  # the 5-cliques, 0.95**10
-        built = {fr.clique for fr in frames if fr.parent is None}
-        parents = {fr.clique[:-1] for fr in frames if len(fr.clique) > 1}
-        assert parents <= built
-        assert {fr.clique for fr in frames if len(fr.clique) == 1} <= built
-        assert any(len(fr.clique) == 3 and fr.parent is not None
-                   for fr in frames)
 
 
 class TestSharedNeighborhoodFilter:

@@ -113,6 +113,8 @@ class TestLoadGraph:
         ("n 2\n1 3 0.9\n", "line 2: vertex id 3 exceeds declared count 2"),
         ("1 b 0.5\n", "line 1: vertex ids must be integers"),
         ("1 2\n", "line 1: expected 'u v p'"),
+        # only a line whose first token starts with '#' is a comment
+        ("1 2 0.5\n2 3 0.5 # x\n", "line 2: expected 'u v p'"),
         ("1 2 0.5\nn 3\n", "line 2: header must precede all edges"),
         ("n 3\nn 3\n", "line 2: header given twice"),
         # Python literal syntax that int() and float() accept
@@ -146,7 +148,8 @@ class TestLoadGraph:
     ], ids=["self-loop", "reverse-duplicate", "headerless-duplicate",
             "p-above-one", "p-nan", "p-negative", "id-zero",
             "id-above-header", "id-not-integer", "two-tokens",
-            "late-header", "header-twice", "id-underscore", "p-underscore",
+            "trailing-comment", "late-header", "header-twice",
+            "id-underscore", "p-underscore",
             "count-underscore", "id-arabic-indic-digit", "p-arabic-indic-digit",
             "count-fullwidth-digit", "id-plus", "second-id-plus",
             "count-plus", "count-negative", "count-beyond-maxsize",
@@ -244,8 +247,11 @@ class TestLoadCliques:
         ("0.8 2 \udce93\n", "line 1: malformed clique line"),
         ("1 3 3\n", "line 1: malformed clique line (repeated vertex)"),
         ("1.0 9\n", "line 1: unknown vertex 9"),
+        # only a line whose first token starts with '#' is a comment
+        ("0.9 1 2\n0.5 1 2 # c\n", "line 2: malformed clique line"),
     ], ids=["one-token", "prob", "underscore", "plus", "non-ascii-digit",
-            "surrogate", "repeated-vertex", "unknown-vertex"])
+            "surrogate", "repeated-vertex", "unknown-vertex",
+            "trailing-comment"])
     def test_single_fault_message(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             self.cliques(text)

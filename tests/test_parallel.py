@@ -24,10 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from umc import cli, parallel
-from umc.algorithms import _enumerate, search_roots, size_filter
+from umc.algorithms import _enumerate, mule, search_roots, size_filter
 from umc.generators import GenSpec
 from umc.graph import UncertainGraph, dump_graph
-from umc.oracle import build_extremal_graph
+from umc.oracle import build_extremal_graph, exact_enumerate
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -101,13 +101,14 @@ def ceiling_graphs(draw):
     return UncertainGraph(n, edges, draw(gapped_labels(n))), alpha
 
 
-def lazy_scan_case(p_03):
+def built_list_case(p_03):
     """Vertices 0..4 (internal indices, under labels 2, 3, 5, 8, 13):
     0-1, 0-2, 1-2, 1-3, 2-3, 1-4 and 2-4 at 0.9, and 0-3 at p_03.  Root
-    1's child {1,2} has the candidates 3 and 4, so it is pushed with a
-    lazy exclusion list, and its leaf {1,2,3} is decided by the scan of
-    root 1's list, [0], through the rows of 2 and 3: it finds 0 when
-    {0,1,2,3} is at or above alpha = 0.5 and none when it is below."""
+    1's child {1,2} has the candidates 3 and 4, so it is pushed with its
+    exclusion list built from root 1's list, [0], through the row of 2,
+    and its leaf {1,2,3} is decided by the scan of that list through the
+    row of 3: it finds 0 when {0,1,2,3} is at or above alpha = 0.5 and
+    none when it is below."""
     edges = [(0, 1, 0.9), (0, 2, 0.9), (0, 3, p_03), (1, 2, 0.9),
              (1, 3, 0.9), (1, 4, 0.9), (2, 3, 0.9), (2, 4, 0.9)]
     return UncertainGraph(5, edges, [2, 3, 5, 8, 13]), 0.5
@@ -115,8 +116,8 @@ def lazy_scan_case(p_03):
 
 @settings(max_examples=100, deadline=None)
 @given(ceiling_graphs(), st.integers(min_value=1, max_value=4))
-@example(lazy_scan_case(0.9), 1)
-@example(lazy_scan_case(0.3), 1)
+@example(built_list_case(0.9), 1)
+@example(built_list_case(0.3), 1)
 def test_parallel_bytes_equal_serial_bytes_at_the_ceiling(case, t):
     g, alpha = case
     assert parallel_bytes(g, alpha, t) == serial_bytes(g, alpha, t)
@@ -178,6 +179,27 @@ def test_sparse_er_graph(er400, alpha):
     expected = serial_bytes(er400, alpha, 1)
     assert parallel_bytes(er400, alpha, 1) == expected
     assert parallel_bytes(er400, alpha, 1, workers=1) == expected
+
+
+@pytest.fixture(scope="module")
+def er200():
+    return GenSpec("er", 200, density=0.3, seed=5).build()
+
+
+def test_dense_er_graph(er200):
+    """ER n=200 at density 0.3: 16,458 cliques at alpha 0.05, of 2 to 5
+    vertices, most of them triangles."""
+    expected = serial_bytes(er200, 0.05, 1)
+    assert expected[0] == 16458
+    assert parallel_bytes(er200, 0.05, 1) == expected
+    assert parallel_bytes(er200, 0.05, 1, workers=1) == expected
+
+
+def test_dense_er_graph_matches_the_exact_reference(er200):
+    out = []
+    mule(er200, 0.05, out.append)
+    assert ({c.vertices for c in out}
+            == exact_enumerate(er200, 0.05).vertex_sets())
 
 
 def test_one_worker_streams_into_a_pipe(monkeypatch):

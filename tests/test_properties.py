@@ -7,8 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
+from umc import algorithms
 from umc.algorithms import (
     dfs_noip,
     large_mule,
@@ -218,6 +220,49 @@ def test_ceiling_decisions_match_the_full_tests(case):
     for fn, args in ((mule, ()), (large_mule, (2,)), (large_mule, (3,))):
         assert emitted(fn, g, alpha, *args, check_invariants=False) == \
             emitted(fn, g, alpha, *args, check_invariants=True), args
+
+
+def pushed_exclusion_lists(g, alpha, check_invariants):
+    """(clique, q, excl as a set) of every frame mule pushes, roots
+    included, with excl taken at the push."""
+    pushed = []
+
+    class RecordingFrame(algorithms._Frame):
+        __slots__ = ()
+
+        def __init__(self, clique, q, ext, excl, cap):
+            pushed.append((clique, q, set(excl)))
+            super().__init__(clique, q, ext, excl, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_Frame", RecordingFrame)
+        mule(g, alpha, lambda c: None, check_invariants=check_invariants)
+    return pushed
+
+
+def exclusion_list(g, clique, q, alpha):
+    """clique's exclusion list built from scratch, as a set of (v, s):
+    each v below max(clique), outside it and adjacent to all of it, with
+    s the product of v's edge probabilities to clique, in clique order as
+    the kernel multiplies them, and q*s >= alpha."""
+    members = set(clique)
+    excl = set()
+    for v in range(clique[-1]):
+        row = g.row(v)
+        if v not in members and all(c in row for c in clique):
+            s = math.prod(row[c] for c in clique)
+            if q * s >= alpha:
+                excl.add((v, s))
+    return excl
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ceiling_graphs(), st.tuples(uncertain_graphs(), alphas)))
+def test_every_frame_is_pushed_with_its_exclusion_list_built(case):
+    g, alpha = case
+    for check in (False, True):
+        for clique, q, excl in pushed_exclusion_lists(g, alpha, check):
+            assert excl == exclusion_list(g, clique, q, alpha), clique
 
 
 @settings(max_examples=40, deadline=None)
