@@ -11,15 +11,20 @@ dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks, and emits only the cliques
             of at least t vertices; kept for benchmarking.
 
+Every enumerator searches search_graph(g, alpha, t), which holds only
+the edges with p >= alpha: the alpha-subgraph (graph.prune_by_alpha) at
+t = 1, its t-truss (shared_neighborhood_filter) for t >= 2.  Both are
+selected from g's edge arrays (UncertainGraph.select), so rows are built
+for the search graph alone, and the kernel tests no edge against alpha.
 mule and large_mule build each root vertex's frame straight from its
-row (UncertainGraph.rows), keeping only edges with p >= alpha, and run one
-depth-first search per root; no search step scans vertices outside a
-neighbourhood.  Each step reads the added vertex's row once and does one
-dict lookup per candidate; a child left with no extension candidates,
-or with one (whose one child is then a leaf), is decided in place,
-without a frame.  A factor ceiling, a bound on every cached factor of a
-frame, decides cliques at the threshold unscanned and hands them over as
-one batch.  Every frame is pushed with its exclusion list built.
+row (UncertainGraph.rows) and run one depth-first search per root; no
+search step scans vertices outside a neighbourhood.  Each step reads the
+added vertex's row once and does one dict lookup per candidate; a child
+left with no extension candidates, or with one (whose one child is then
+a leaf), is decided in place, without a frame.  A factor ceiling, a
+bound on every cached factor of a frame, decides cliques at the
+threshold unscanned and hands them over as one batch.  Every frame is
+pushed with its exclusion list built.
 The search has one output, emit(c, u, q, ext) (see _enumerate), for
 single cliques and batches alike, and counts nothing: large_mule's
 adapter builds each Clique for its sink and counts, and umc.parallel
@@ -28,13 +33,8 @@ A root's subtree depends on that root alone, so umc.parallel can split
 the roots across processes.
 The graph's edge arrays are sorted by (lo, hi), so they list each
 vertex's neighbours above it (its later neighbours, in Eppstein, Loffler
-and Strash's terms) back to back; search_roots counts the roots' alpha-
-neighbours there, and large_mule's shared_neighborhood_filter reads only
-the edges with p >= alpha from them and selects the survivors
-(UncertainGraph.select).  So mule and large_mule take the graph as
-loaded, and large_mule builds rows only for the edges that survive its
-filter.  Only dfs_noip, which recomputes products over every edge it
-sees, runs faster on an alpha-pruned copy (graph.prune_by_alpha).
+and Strash's terms) back to back; search_roots counts the roots'
+neighbours there.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .graph import (
     clique_probability,
     clique_probability_or_none,
     is_alpha_maximal,
+    prune_by_alpha,
 )
 
 Sink = Callable[[Clique], None]
@@ -90,8 +91,8 @@ def mule(g: UncertainGraph, alpha: float, sink: Sink, *,
 
     A clique is emitted when both candidate sets are empty: no vertex above
     max(C) extends it (ext) and no vertex below does either (excl), which
-    is exactly maximality.  This is large_mule at t = 1, which searches g
-    itself and prunes nothing.
+    is exactly maximality.  This is large_mule at t = 1, which searches
+    g's alpha-subgraph and prunes nothing else.
     """
     return large_mule(g, alpha, 1, sink, check_invariants=check_invariants)
 
@@ -101,7 +102,7 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
     """Emit exactly the alpha-maximal cliques with at least t vertices;
     returns the count.
 
-    Searches size_filter(g, alpha, t) and prunes any branch where
+    Searches search_graph(g, alpha, t) and prunes any branch where
     |C'| + |ext'| < t: that subtree cannot reach size t, and every
     surviving witness needed for maximality of a size->=t clique is
     preserved (on the path to such a clique the guard never fires).
@@ -121,30 +122,34 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
                 sink(Clique(c2 + (w,), q * r))
             count += len(ext)
 
-    _enumerate(size_filter(g, alpha, t), alpha, emit, range(g.n), t,
+    _enumerate(search_graph(g, alpha, t), alpha, emit, range(g.n), t,
                check_invariants=check_invariants)
     return count
 
 
-def size_filter(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
-    """The graph large_mule searches for threshold t:
-    shared_neighborhood_filter(g, alpha, t) for t >= 2, g itself at t = 1."""
+def search_graph(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
+    """The graph every search for g's alpha-maximal cliques with at least
+    t vertices runs on; it holds only edges with p >= alpha, the only ones
+    such a clique can contain.  prune_by_alpha(g, alpha) at t = 1, g
+    itself when no edge lies below alpha; shared_neighborhood_filter(g,
+    alpha, t) for t >= 2."""
     if t < 1:
         raise ValueError("size threshold must be >= 1")
-    return g if t == 1 else shared_neighborhood_filter(g, alpha, t)
+    return (prune_by_alpha(g, alpha) if t == 1
+            else shared_neighborhood_filter(g, alpha, t))
 
 
-def search_roots(g: UncertainGraph, alpha: float, t: int) -> list[int]:
-    """The roots, ascending, whose frame _enumerate pushes for threshold t:
-    those with enough alpha-neighbours above them to reach size t, and at
-    least one.  Every other root emits at most its singleton, unsearched.
-    Read from g's edge arrays, which list each vertex's neighbours above
-    it back to back in ascending order, so no row is built."""
-    us, _, ps = g.edge_arrays()
-    need = max(t - 1, 1)
-    # one run of equal lower endpoints per vertex, ascending
-    lows = groupby(compress(us, map(le, repeat(alpha), ps)))
-    return [u for u, run in lows if len(list(run)) >= need]
+def search_roots(g: UncertainGraph, t: int) -> list[int]:
+    """The roots, ascending, whose frame _enumerate pushes for threshold t
+    on the search graph g: those with enough neighbours above them to
+    reach size t, and at least one.  Every other root emits at most its
+    singleton, unsearched.  Read from g's edge arrays, which list each
+    vertex's neighbours above it back to back in ascending order, so no
+    row is built."""
+    # one run of equal lower endpoints per vertex with a neighbour above
+    # it, ascending, so every run has one at least
+    return [u for u, run in groupby(g.edge_arrays()[0])
+            if len(list(run)) >= t - 1]
 
 
 def _enumerate(g, alpha, emit, roots, t, *, check_invariants):
@@ -163,23 +168,24 @@ def _enumerate(g, alpha, emit, roots, t, *, check_invariants):
     its identity.  The search keeps no count; the caller counts what emit
     receives.
 
+    g is a search graph (see search_graph): every edge has p >= alpha,
+    and alpha was checked in its making.
     u's frame is built from its row alone: ext holds the neighbours above
     u and excl those below, each with its edge probability as the cached
-    factor and only where that is >= alpha.  Every vertex below u that
+    factor.  Every vertex below u that
     could extend a clique containing u is adjacent to u, so excl holds
     every witness the search below needs.  Its factor ceiling is
     rowmax[u].  So each root's subtree and output depend on the root
     alone, and any set of roots can be searched in any process.
     """
-    check_alpha(alpha)
     rows = g.rows()
     rowmax = [max(row.values(), default=0.0) for row in rows]
     for u in roots:
         items = rows[u].items()
-        ext = [(w, p) for w, p in items if w > u and p >= alpha]
+        ext = [(w, p) for w, p in items if w > u]
         if 1 + len(ext) < t:
             continue  # no clique containing u as its minimum is large enough
-        excl = [(v, p) for v, p in items if v < u and p >= alpha]
+        excl = [(v, p) for v, p in items if v < u]
         if check_invariants:
             _check_frame(g, (u,), 1.0, ext, excl, alpha)
         if ext:
@@ -387,14 +393,13 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink, t: int = 1) -> int:
     but every candidate's clique probability is recomputed from scratch
     and maximality is decided by a full definition-level check.  Emits,
     and counts, the alpha-maximal cliques with at least t vertices: the
-    same clique set as large_mule (mule at t = 1).  It searches the whole
-    tree whatever t is, with no size filter or guard, and is kept as the
+    same clique set as large_mule (mule at t = 1).  Whatever t is, it
+    searches the whole tree of search_graph(g, alpha, 1), the alpha-
+    subgraph, with no size filter or guard, and is kept as the
     performance comparison point.  Unlike mule it recurses, one level per
     vertex of the working clique.
     """
-    check_alpha(alpha)
-    if t < 1:
-        raise ValueError("size threshold must be >= 1")
+    g = search_graph(g, alpha, min(t, 1))  # at t < 1 it raises ValueError
     count = 0
 
     def visit(c: tuple[int, ...], cand) -> None:

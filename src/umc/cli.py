@@ -29,7 +29,7 @@ import time
 from typing import TextIO
 
 from . import parallel
-from .algorithms import dfs_noip, large_mule, mule
+from .algorithms import dfs_noip, large_mule, mule, search_graph
 from .graph import (
     GraphFormatError,
     UncertainGraph,
@@ -117,21 +117,19 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
                      sink) -> tuple[int, float]:
     """Emit g's alpha-maximal cliques with at least t vertices into sink,
     with one search call: dfs_noip when algo is "dfs-noip", else
-    large_mule when t > 1 and mule at t = 1.  Each enumerator applies t
-    itself.  Returns the number of cliques sink received and the
-    milliseconds spent in the search, sink included.
+    large_mule when t > 1 and mule at t = 1.  Each enumerator searches
+    its own search graph (algorithms.search_graph) and applies t itself.
+    Returns the number of cliques sink received and the milliseconds
+    spent in the search, its search graph and sink included.
 
-    mule and large_mule apply alpha themselves; dfs_noip, which
-    recomputes products over every edge it sees, gets an alpha-pruned copy
-    made before the clock starts.  The enumerators are looked up as module
-    globals at call time, not through a table built at import, so a caller
-    that replaces one on this module (to trace it, say) sees its
-    replacement run.  That holds for this sink only: umc.parallel's claim
-    loop, which writes every mule run whose output has a descriptor, calls
-    size_filter and the kernel directly and looks up format_batch itself.
+    The enumerators are looked up as module globals at call time, not
+    through a table built at import, so a caller that replaces one on this
+    module (to trace it, say) sees its replacement run.  That holds for
+    this sink only: umc.parallel's claim loop, which writes every mule run
+    whose output has a descriptor, takes the search graph from
+    cmd_enumerate, calls the kernel directly and looks up format_batch
+    itself.
     """
-    if algo == "dfs-noip":
-        g = prune_by_alpha(g, alpha)
     start = time.perf_counter()
     if algo == "dfs-noip":
         count = dfs_noip(g, alpha, sink, t)
@@ -151,6 +149,8 @@ def cmd_enumerate(args) -> int:
     if out is None:  # the interpreter started with file descriptor 1 closed
         raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     workers = parallel.available_workers(out) if args.algo == "mule" else 0
+    if workers:  # the loaded graph goes before any row is built
+        g = search_graph(g, alpha, args.min_size)
     try:
         try:
             if workers:
@@ -190,6 +190,9 @@ def cmd_verify(args) -> int:
             expected = exact_enumerate(g, alpha).vertex_sets()
         except ValueError as exc:
             raise UsageError(f"--complete: {exc}")
+    # Verdicts are the loaded graph's: an edge below alpha keeps any
+    # product it is in below alpha, so no alpha-clique can hold one.
+    g = prune_by_alpha(g, alpha)
     failures = 0
     seen: set[tuple[int, ...]] = set()
     for line_no, prob, verts in entries:
@@ -236,9 +239,9 @@ def cmd_generate(args) -> int:
 
 
 def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
-    """Run one (graph, algo, alpha, t) cell; timing covers the search,
-    large_mule's size filter included (loading and dfs_noip's alpha-prune
-    excluded)."""
+    """Run one (graph, algo, alpha, t) cell; timing covers the search and
+    the making of its search graph (the alpha-select, or large_mule's size
+    filter), not loading."""
     out_vertices = 0
     depth = 0
 

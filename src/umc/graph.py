@@ -56,22 +56,23 @@ class UncertainGraph:
     (a dict {neighbour: p} whose keys ascend), is built from them on the
     first rows() or row() call and kept, as are the label index and the
     label strings on their first use.  Listing the edges (edges(),
-    dump_graph) or filtering them (select), as large_mule's size filter
-    does, builds no rows.  Every other access is a pure read.  Two threads
+    dump_graph) or filtering them (select), as every search graph is
+    made, builds no rows.  Every other access is a pure read.  Two threads
     that race on a first build each build the same result and one of them
     is kept, so instances are safe to share across threads.
 
     The constructor reads its (u, v, p) triples from any iterable, once,
     and converts them into the three arrays in one pass; from_arrays takes
-    the arrays themselves.  The constructor, from_arrays and select share
-    the one place that enforces the graph rules: each endpoint in 0..n-1,
-    no self-loop, p in (0, 1] and no edge given twice.  It checks all the
+    the arrays themselves.  The constructor and from_arrays share the one
+    place that enforces the graph rules: each endpoint in 0..n-1, no
+    self-loop, p in (0, 1] and no edge given twice.  It checks all the
     edges at once, and sorts them when they do not already ascend.  Only
     when these checks find a fault does it go through the edges one by
     one, as given, so that its ValueError names the first faulty edge.
     The messages name the external labels, which must strictly ascend with
     the index (default 1..n); they are never re-sorted, as that would
-    renumber the caller's vertices.
+    renumber the caller's vertices.  select keeps some of a graph's
+    edges, checked there already, in their order, so it checks none again.
     """
 
     __slots__ = ("n", "num_edges", "_us", "_vs", "_ps", "_rows", "_labels",
@@ -108,9 +109,10 @@ class UncertainGraph:
         g._take(n, us, vs, ps, lab)
         return g
 
-    def _take(self, n, us, vs, ps, labels) -> None:
-        """Check the edges (us[i], vs[i], ps[i]) and keep them in order."""
-        edges = _ordered(n, us, vs, ps)
+    def _take(self, n, us, vs, ps, labels, checked=False) -> None:
+        """Check the edges (us[i], vs[i], ps[i]), unless they are already
+        checked and in order, and keep them in order."""
+        edges = (us, vs, ps) if checked else _ordered(n, us, vs, ps)
         if edges is None:
             _check_each(n, zip(us, vs, ps), labels)
         self.n = n
@@ -185,9 +187,9 @@ class UncertainGraph:
         if len(keep) != self.num_edges:
             raise ValueError(f"{len(keep)} flags for {self.num_edges} edges")
         g = UncertainGraph.__new__(UncertainGraph)
-        g._take(self.n, array("q", compress(self._us, keep)),
-                array("q", compress(self._vs, keep)),
-                array("d", compress(self._ps, keep)), self._labels)
+        g._take(self.n, *[array(a.typecode, compress(a, keep))
+                          for a in self.edge_arrays()],
+                self._labels, checked=True)
         return g
 
 
@@ -522,13 +524,16 @@ def dump_graph(g: UncertainGraph, out: TextIO) -> None:
 
 
 def prune_by_alpha(g: UncertainGraph, alpha: float) -> UncertainGraph:
-    """Drop every edge with p(e) < alpha; vertex set unchanged.
+    """Drop every edge with p(e) < alpha; vertex set unchanged.  g itself
+    when no edge lies below alpha, so a second call costs one min().
 
     Sound for enumeration: an edge below the threshold cannot appear in
     any clique whose probability reaches alpha.
     """
     check_alpha(alpha)
-    return g.select(map(operator.le, repeat(alpha), g.edge_arrays()[2]))
+    ps = g.edge_arrays()[2]
+    return (g if min(ps, default=alpha) >= alpha
+            else g.select(map(operator.le, repeat(alpha), ps)))
 
 
 def check_alpha(alpha: float) -> None:

@@ -12,7 +12,7 @@ two labels.  A worker hands on its lines BUFFER_LINES at a time.
 One worker (one CPU, a live thread, no os.fork) searches every root in
 this process and writes each buffer straight to the output's descriptor,
 so the output streams, with no ledger, temporary file or fork.  Two or
-more share the size-filtered graph and its rows, built before the fork,
+more share the search graph and its rows, built before the fork,
 copy-on-write.  Each, the parent among them, claims roots from a counter
 in a shared ledger file and writes their lines to its own temporary file,
 one segment per claim, recorded in the ledger.  Once every worker has
@@ -33,7 +33,7 @@ import tempfile
 import threading
 import time
 
-from .algorithms import _enumerate, search_roots, size_filter
+from .algorithms import _enumerate, search_roots
 from .graph import UncertainGraph, format_batch
 
 _COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
@@ -69,9 +69,10 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     """Write the clique-stream lines (graph.format_clique's) of g's
     alpha-maximal cliques with at least t vertices to out's descriptor,
     in the order large_mule emits them, using at most `workers` (>= 1)
-    processes, this one included.  Returns the clique count (the lines
-    written) and the milliseconds from the size filter to the last byte
-    written, as cli._run_enumeration does for its sink.
+    processes, this one included.  g is taken as the search graph that
+    algorithms.search_graph(..., alpha, t) made: no edge is tested
+    against alpha here.  Returns the clique count (the lines written) and
+    the milliseconds from the search to the last byte written.
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim every
@@ -82,10 +83,9 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     the spool side keeps its exception.
     """
     start = time.perf_counter()
-    g = size_filter(g, alpha, t)
     if workers > 1:
         g.rows()  # built before the fork, so every worker shares them
-        ends = [u + 1 for u in search_roots(g, alpha, t)][:-1] + [g.n]
+        ends = [u + 1 for u in search_roots(g, t)][:-1] + [g.n]
         workers = min(workers, len(ends))
     _output(out.flush)
     if workers > 1:

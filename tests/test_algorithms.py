@@ -9,11 +9,13 @@ import pytest
 
 from umc import algorithms, graph
 from umc.algorithms import (
+    InvariantViolation,
     dfs_noip,
     large_mule,
     mule,
+    search_graph,
     shared_neighborhood_filter,
-    size_filter,
+    _enumerate,
     _filter,
 )
 from umc.cli import PROB_REL_TOL
@@ -333,13 +335,60 @@ class TestSharedNeighborhoodFilter:
             return real(n, us, vs, ps)
 
         monkeypatch.setattr(graph, "_build_rows", spy)
-        kept = size_filter(g, 0.1, 4)
+        kept = search_graph(g, 0.1, 4)
         assert 0 < kept.num_edges < g.num_edges
         assert collect(large_mule, g, 0.1, 4)
         assert len(built) == 1  # large_mule's own filtered graph
         assert all(us is not g.edge_arrays()[0] for us in built)
         assert kept.rows()  # built now, for kept alone
         assert len(built) == 2 and built[1] is kept.edge_arrays()[0]
+
+
+class TestSearchGraph:
+    ALPHA = 0.3
+
+    @pytest.fixture(scope="class")
+    def ba(self):
+        return GenSpec("ba", n=300, m=5, seed=1).build()
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_holds_only_alpha_edges(self, ba, t):
+        alpha_edges = [e for e in ba.edges() if e[2] >= self.ALPHA]
+        assert 0 < len(alpha_edges) < ba.num_edges
+        h = search_graph(ba, self.ALPHA, t)
+        assert h.n == ba.n
+        if t == 1:
+            assert list(h.edges()) == alpha_edges
+        else:
+            assert (list(h.edges()) == list(
+                shared_neighborhood_filter(ba, self.ALPHA, t).edges()))
+            assert set(h.edges()) <= set(alpha_edges)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_applied_twice(self, ba, t):
+        h = search_graph(ba, self.ALPHA, t)
+        again = search_graph(h, self.ALPHA, t)
+        if t == 1:
+            assert again is h
+        else:
+            assert list(again.edges()) == list(h.edges())
+
+    def test_no_edge_below_alpha_is_no_copy(self):
+        g = build_extremal_graph(8, 0.5)
+        assert search_graph(g, 0.5, 1) is g
+        edgeless = UncertainGraph(3, [])
+        assert search_graph(edgeless, 0.5, 1) is edgeless
+
+    def test_rejects_bad_threshold(self):
+        with pytest.raises(ValueError):
+            search_graph(parse(PATH_3), 0.5, 0)
+
+    def test_kernel_checks_that_its_graph_is_a_search_graph(self):
+        # 2-3 at 0.8 lies below alpha: root 2's frame would carry it
+        g = parse(PATH_3)
+        with pytest.raises(InvariantViolation):
+            _enumerate(g, 0.85, lambda *out: None, range(g.n), 1,
+                       check_invariants=True)
 
 
 class TestDfsNoip:

@@ -18,6 +18,7 @@ import umc
 import umc.cli
 import umc.graph
 import umc.oracle
+from umc.algorithms import search_graph
 from umc.cli import main
 from umc.generators import GenSpec
 from umc.graph import dump_graph, load_graph, prune_by_alpha
@@ -73,23 +74,32 @@ class TestEnumerate:
         assert n_lines == (2 if min_size == "1" else 1)
         assert f"cliques={n_lines} " in captured.err
 
-    @pytest.mark.parametrize("algo, min_size, prunes", [
-        ("mule", "1", 0), ("mule", "3", 0), ("dfs-noip", "1", 1)])
-    def test_only_dfs_noip_prunes(self, path_graph, tmp_path, monkeypatch,
-                                  algo, min_size, prunes):
-        # mule and large_mule apply alpha themselves; only the baseline
-        # gets an alpha-pruned copy of the graph
-        calls = []
+    @pytest.mark.parametrize("algo, min_size", [
+        ("mule", "1"), ("mule", "3"), ("dfs-noip", "1")])
+    def test_rows_are_built_for_the_search_graph_only(
+            self, tmp_path, monkeypatch, algo, min_size):
+        # Every algorithm searches search_graph(g, alpha, t): rows are
+        # built once, for its edges, never for the loaded graph's.
+        f = tmp_path / "ba.txt"
+        with open(f, "w") as fh:
+            dump_graph(GenSpec("ba", n=500, m=5, seed=1).build(), fh)
+        with open(f) as fh:
+            loaded = load_graph(fh)
+        t = int(min_size)
+        kept = search_graph(loaded, 0.5, t)
+        assert 0 < kept.num_edges < loaded.num_edges
+        built = []
+        real = umc.graph._build_rows
 
-        def counted(g, alpha):
-            calls.append(alpha)
-            return prune_by_alpha(g, alpha)
-        monkeypatch.setattr(umc.cli, "prune_by_alpha", counted)
-        rc = main(["enumerate", "--input", path_graph, "--alpha", "0.75",
+        def spy(n, us, vs, ps):
+            built.append((list(us), list(vs), list(ps)))
+            return real(n, us, vs, ps)
+        monkeypatch.setattr(umc.graph, "_build_rows", spy)
+        rc = main(["enumerate", "--input", str(f), "--alpha", "0.5",
                    "--algo", algo, "--min-size", min_size,
                    "--out", str(tmp_path / "c.txt")])
         assert rc == 0
-        assert len(calls) == prunes
+        assert built == [tuple(map(list, kept.edge_arrays()))]
 
     def test_min_size_filters(self, path_graph, tmp_path):
         out = tmp_path / "c.txt"
@@ -193,6 +203,28 @@ class TestVerify:
                    "--alpha", "0.75"])
         assert rc == 1
         assert "PROBABILITY MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("complete", [[], ["--complete"]])
+    def test_verdicts_on_the_alpha_subgraph(self, path_graph, tmp_path,
+                                            capsys, monkeypatch, complete):
+        # 2-3 at 0.8 lies below alpha: checked on the graph without it,
+        # {2, 3} and the triangle, no clique at all, are refused as on the
+        # loaded graph, and {1, 2} and {3} pass
+        lines = tmp_path / "c.txt"
+        lines.write_text("0.9 1 2\n1 3\n0.8 2 3\n0.72 1 2 3\n")
+        pruned = []
+
+        def spy(g, alpha):
+            pruned.append(g.num_edges)
+            return prune_by_alpha(g, alpha)
+        monkeypatch.setattr(umc.cli, "prune_by_alpha", spy)
+        rc = main(["verify", "--input", path_graph, "--cliques", str(lines),
+                   "--alpha", "0.85", *complete])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "NOT ALPHA-MAXIMAL line 3: [2, 3]",
+            "NOT ALPHA-MAXIMAL line 4: [1, 2, 3]"]
+        assert pruned == [2]
 
     def test_nan_probability_flagged(self, path_graph, tmp_path, capsys):
         bad = tmp_path / "nan.txt"

@@ -24,7 +24,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from umc import cli, parallel
-from umc.algorithms import _enumerate, mule, search_roots, size_filter
+from umc.algorithms import (
+    _enumerate,
+    dfs_noip,
+    large_mule,
+    mule,
+    search_graph,
+    search_roots,
+)
 from umc.generators import GenSpec
 from umc.graph import UncertainGraph, dump_graph
 from umc.oracle import build_extremal_graph, exact_enumerate
@@ -48,8 +55,11 @@ def serial_bytes(g, alpha, t):
 
 
 def parallel_bytes(g, alpha, t, workers=WORKERS):
+    """The claim loop's count and bytes, as cmd_enumerate runs it: on
+    g's search graph."""
     with tempfile.TemporaryFile("w") as out:
-        count, _ = parallel.enumerate_into(out, g, alpha, t, workers)
+        count, _ = parallel.enumerate_into(out, search_graph(g, alpha, t),
+                                           alpha, t, workers)
         fd = out.fileno()
         return count, os.pread(fd, os.fstat(fd).st_size, 0)
 
@@ -127,20 +137,48 @@ def test_parallel_bytes_equal_serial_bytes_at_the_ceiling(case, t):
 @given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
        st.integers(min_value=1, max_value=4))
 def test_search_roots(g, alpha, t):
-    """A search root has enough alpha-neighbours above it to reach size t;
-    any other root emits at most its singleton, so a claim can cover it.
-    The roots strictly ascend."""
-    g = size_filter(g, alpha, t)
-    roots = search_roots(g, alpha, t)
+    """A search root has enough neighbours above it in the search graph to
+    reach size t; any other root emits at most its singleton, so a claim
+    can cover it.  The roots strictly ascend."""
+    g = search_graph(g, alpha, t)
+    roots = search_roots(g, t)
     assert roots == sorted(set(roots))
     for u in range(g.n):
-        above = [w for w, p in g.row(u).items() if w > u and p >= alpha]
+        above = [w for w in g.row(u) if w > u]
         assert (u in roots) == (len(above) >= max(t - 1, 1))
         if u not in roots:
             emitted = []
             _enumerate(g, alpha, lambda *out: emitted.append(out), [u], t,
                        check_invariants=False)
             assert emitted in ([], [((), u, 1.0, None)])
+
+
+def sink_bytes(g, run):
+    """The bytes that run(sink) writes through the serial sink's
+    format_clique."""
+    buf = io.StringIO()
+    run(lambda c: buf.write(cli.format_clique(g, c) + "\n"))
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_isolated_vertices(), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(min_value=1, max_value=4))
+def test_every_enumerator_writes_the_same_bytes_on_its_search_graph(
+        g, alpha, t):
+    """No alpha-clique holds an edge below alpha, and no alpha-clique of t
+    or more vertices an edge outside the t-truss, so every enumerator
+    writes the same bytes on g as on search_graph(g, alpha, t)."""
+    def outputs(x):
+        return (sink_bytes(x, lambda sink: large_mule(x, alpha, t, sink)),
+                sink_bytes(x, lambda sink: dfs_noip(x, alpha, sink, t)),
+                parallel_bytes(x, alpha, t, workers=1),
+                parallel_bytes(x, alpha, t))
+
+    assert outputs(search_graph(g, alpha, t)) == outputs(g)
+    h = search_graph(g, alpha, 1)
+    assert (sink_bytes(h, lambda sink: mule(h, alpha, sink))
+            == sink_bytes(g, lambda sink: mule(g, alpha, sink)))
 
 
 @pytest.mark.parametrize("n", [12, 14])
@@ -303,7 +341,7 @@ def test_forks_at_most_cpus_and_search_roots(tmp_path, forks, text):
     assert cli.main(["enumerate", "--input", str(inp), "--alpha", "0.5",
                      "--out", str(out)]) == 0
     g = cli._load_file(str(inp), "prob")
-    roots = search_roots(g, 0.5, 1)
+    roots = search_roots(search_graph(g, 0.5, 1), 1)
     assert len(forks) == max(min(CPUS, len(roots)), 1) - 1
     assert out.read_bytes() == serial_bytes(g, 0.5, 1)[1]
 
