@@ -391,7 +391,8 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink, t: int = 1) -> int:
 
     Same search-tree shape as mule (vertices added in increasing order),
     but every candidate's clique probability is recomputed from scratch
-    and maximality is decided by a full definition-level check.  Emits,
+    and maximality is decided by a full definition-level check
+    (is_alpha_maximal), whose product each clique carries.  Emits,
     and counts, the alpha-maximal cliques with at least t vertices: the
     same clique set as large_mule (mule at t = 1).  Whatever t is, it
     searches the whole tree of search_graph(g, alpha, 1), the alpha-
@@ -406,9 +407,9 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink, t: int = 1) -> int:
         """c is an alpha-clique; cand, ascending, holds every vertex
         above max(c) that extends c to an alpha-clique."""
         nonlocal count
-        if is_alpha_maximal(g, c, alpha):
+        if (q := is_alpha_maximal(g, c, alpha)) is not None:
             if len(c) >= t:
-                sink(Clique(c, clique_probability(g, c)))
+                sink(Clique(c, q))
                 count += 1
             return
         mx = c[-1]

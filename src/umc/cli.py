@@ -187,34 +187,41 @@ def cmd_verify(args) -> int:
     entries = _read(args.cliques, load_cliques, g)
     if args.complete:  # a refusal, like a malformed line, precedes any verdict
         try:
-            expected = exact_enumerate(g, alpha).vertex_sets()
+            expected = exact_enumerate(g, alpha)
         except ValueError as exc:
             raise UsageError(f"--complete: {exc}")
     # Verdicts are the loaded graph's: an edge below alpha keeps any
     # product it is in below alpha, so no alpha-clique can hold one.
     g = prune_by_alpha(g, alpha)
+
+    def names(verts):
+        return [g.label(v) for v in verts]
+
     failures = 0
     seen: set[tuple[int, ...]] = set()
     for line_no, prob, verts in entries:
-        names = [g.label(v) for v in verts]
         if verts in seen:
-            print(f"DUPLICATE line {line_no}: {names}")
+            print(f"DUPLICATE line {line_no}: {names(verts)}")
             failures += 1
             continue
         seen.add(verts)
-        if not (verts in expected if args.complete
-                else is_alpha_maximal(g, verts, alpha)):
-            print(f"NOT ALPHA-MAXIMAL line {line_no}: {names}")
+        # One product per line: is_alpha_maximal's, or for a line the
+        # reference lists, clique_probability's; None for any other line.
+        if args.complete:
+            exact = clique_probability(g, verts) if verts in expected else None
+        else:
+            exact = is_alpha_maximal(g, verts, alpha)
+        if exact is None:
+            print(f"NOT ALPHA-MAXIMAL line {line_no}: {names(verts)}")
             failures += 1
             continue
-        exact = clique_probability(g, verts)
         if not math.isfinite(prob) or abs(prob - exact) > PROB_REL_TOL * exact:
-            print(f"PROBABILITY MISMATCH line {line_no}: {names} "
+            print(f"PROBABILITY MISMATCH line {line_no}: {names(verts)} "
                   f"stated {prob!r} actual {exact!r}")
             failures += 1
     if args.complete:
         for verts in sorted(expected - seen):
-            print(f"MISSING: {[g.label(v) for v in verts]}")
+            print(f"MISSING: {names(verts)}")
             failures += 1
     if failures:
         print(f"verification failed: {failures} violation(s)", file=sys.stderr)

@@ -563,29 +563,27 @@ def clique_probability_or_none(g: UncertainGraph, c: Iterable[int]) -> float | N
     return q
 
 
-def is_alpha_maximal(g: UncertainGraph, c: Iterable[int], alpha: float) -> bool:
-    """Definition-level check, independent of the enumerator: c is an
-    alpha-clique and no single vertex extends it to another alpha-clique.
-    (Single-vertex extension suffices by subset monotonicity.)"""
+def is_alpha_maximal(g: UncertainGraph, c: Iterable[int],
+                     alpha: float) -> float | None:
+    """Definition-level check, independent of the enumerator: when c is
+    an alpha-clique and no single vertex extends it to another
+    alpha-clique, c's probability, clique_probability(g, c), so a caller
+    needs no second product; else None.  (Single-vertex extension
+    suffices by subset monotonicity.)  The result is truthy exactly when
+    c is alpha-maximal, as its probability is at least alpha > 0."""
     check_alpha(alpha)
     verts = tuple(sorted(set(c)))
     if not verts:
         raise ValueError("empty vertex set")
     q = clique_probability_or_none(g, verts)
     if q is None or q < alpha:
-        return False
+        return None
     cset = set(verts)
     base = min(verts, key=lambda u: len(g.row(u)))
     for w in g.row(base):
-        if w in cset:
-            continue
+        # c+w's product: q times w's edges into c, ascending
         row = g.row(w)
-        ext = q
-        for u in verts:
-            if u not in row:
-                ext = None
-                break
-            ext *= row[u]
-        if ext is not None and ext >= alpha:
-            return False
-    return True
+        if (w not in cset and row.keys() >= cset
+                and math.prod(map(row.__getitem__, verts), start=q) >= alpha):
+            return None
+    return q

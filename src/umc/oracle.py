@@ -3,37 +3,27 @@ alpha-maximal cliques, the combinatorial ceiling on output size, and the
 extremal complete graph achieving that ceiling.
 
 Nothing here shares code with the incremental enumerators beyond the
-graph container and the direct product formula.
+graph container and its range check on alpha: the reference takes no
+float product.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, count
-from typing import NamedTuple
 
-from .graph import UncertainGraph, check_alpha, clique_probability
+from .graph import UncertainGraph, check_alpha
 
 # exact_enumerate refuses a graph with more alpha-cliques than this:
 # K20 at alpha = 0.5 has 616,665, K22 has 2,449,867.
 MAX_VISITS = 10 ** 6
 
 
-class OracleResult(NamedTuple):
-    """Canonically sorted (vertex tuple, probability) pairs.
-
-    The collection is non-redundant: no member contains another.
-    """
-
-    cliques: tuple[tuple[tuple[int, ...], float], ...]
-
-    def vertex_sets(self) -> set[tuple[int, ...]]:
-        return {verts for verts, _ in self.cliques}
-
-
-def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
-    """The alpha-maximal cliques of g, with "q >= alpha" decided on the
-    exact product of the binary64 edge probabilities.
+def exact_enumerate(g: UncertainGraph, alpha: float
+                    ) -> set[tuple[int, ...]]:
+    """The alpha-maximal cliques of g, as the set of their ascending
+    vertex tuples, with "q >= alpha" decided on the exact product of the
+    binary64 edge probabilities.  No member contains another.
 
     Only edges with p >= alpha can lie in an alpha-clique.  From each
     vertex, a depth-first search extends each alpha-clique by its larger
@@ -41,8 +31,7 @@ def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
     into the clique; a neighbour that fails leaves the subtree, since no
     superset passes where a subset fails.  A clique is maximal when no
     common alpha-neighbour, earlier ones included, extends it.  Past
-    MAX_VISITS alpha-cliques it raises ValueError.  Probabilities are
-    clique_probability's float products, as verify states them.
+    MAX_VISITS alpha-cliques it raises ValueError.
     """
     check_alpha(alpha)
     # A binary64 value is num / den with den a power of two, kept here as
@@ -54,7 +43,7 @@ def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
         if p >= alpha:
             num, den = p.as_integer_ratio()
             nbrs[u][v] = nbrs[v][u] = (num, den.bit_length() - 1)
-    kept: list[tuple[int, ...]] = []
+    kept: set[tuple[int, ...]] = set()
     visits = count(1)
 
     def grow(clique, num, exp, cands):
@@ -66,7 +55,7 @@ def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
             if q_num << a_exp >= a_num << q_exp:
                 ext[w] = (q_num, q_exp)
         if not ext:
-            kept.append(clique)
+            kept.add(clique)
         for w in sorted(ext):
             if w > clique[-1]:
                 row = nbrs[w]
@@ -76,8 +65,7 @@ def exact_enumerate(g: UncertainGraph, alpha: float) -> OracleResult:
 
     for v in range(g.n):
         grow((v,), 1, 0, nbrs[v])
-    return OracleResult(tuple(sorted((c, clique_probability(g, c))
-                                     for c in kept)))
+    return kept
 
 
 def max_clique_count_bound(n: int) -> int:

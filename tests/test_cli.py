@@ -226,6 +226,31 @@ class TestVerify:
             "NOT ALPHA-MAXIMAL line 4: [1, 2, 3]"]
         assert pruned == [2]
 
+    @pytest.mark.parametrize("complete", [[], ["--complete"]])
+    def test_one_product_per_line(self, tmp_path, capsys, monkeypatch,
+                                  complete):
+        # is_alpha_maximal and clique_probability both take their product
+        # through umc.graph.clique_probability_or_none; the exact
+        # reference takes none
+        graph, cliques = tmp_path / "er30.txt", tmp_path / "c.txt"
+        main(["generate", "--family", "er", "--n", "30", "--density", "0.5",
+              "--seed", "1", "--out", str(graph)])
+        main(["enumerate", "--input", str(graph), "--alpha", "0.1",
+              "--out", str(cliques)])
+        lines = len(cliques.read_text().splitlines())
+        products = []
+        real = umc.graph.clique_probability_or_none
+
+        def spy(g, c):
+            products.append(c)
+            return real(g, c)
+        monkeypatch.setattr(umc.graph, "clique_probability_or_none", spy)
+        capsys.readouterr()
+        assert main(["verify", "--input", str(graph), "--cliques",
+                     str(cliques), "--alpha", "0.1", *complete]) == 0
+        assert capsys.readouterr().err == "verification ok\n"
+        assert len(products) == lines > 1
+
     def test_nan_probability_flagged(self, path_graph, tmp_path, capsys):
         bad = tmp_path / "nan.txt"
         bad.write_text("nan 1 2\nnan 2 3\n")

@@ -43,7 +43,7 @@ class TestLoadGraph:
         g = parse("1 2 0.9\n2 3 0.8")
         assert g.n == 3
         assert g.num_edges == 2
-        assert g.edge_prob(0, 1) == 0.9
+        assert g.row(0)[1] == 0.9
 
     def test_comments_and_blank_lines(self):
         g = parse("# a comment\n\n1 2 0.5\n")
@@ -223,8 +223,8 @@ def assert_rows_ascending_and_symmetric(g):
         assert list(row) == sorted(row)
         for v, p in row.items():
             assert g.row(v)[u] == p
-            assert g.edge_prob(u, v) == g.edge_prob(v, u) == p
-            assert v in g.adj_set(u)
+            assert g.row(u)[v] == g.row(v)[u] == p
+            assert v in g.row(u).keys()
 
 
 class TestLoadCliques:
@@ -595,23 +595,30 @@ class TestCliqueProbability:
 
 class TestIsAlphaMaximal:
     # Expected values below were fixed by hand-enumerating all 7 nonempty
-    # subsets of the 3-vertex path.
+    # subsets of the 3-vertex path.  A maximal clique's result is its
+    # clique_probability, bit for bit; anything else gives None.
     def test_path_edge_is_maximal(self):
         g = parse(PATH_3)
-        assert is_alpha_maximal(g, (0, 1), 0.75)
+        assert is_alpha_maximal(g, (0, 1), 0.75) == \
+            clique_probability(g, (0, 1)) == 0.9
 
     def test_contained_vertex_is_not_maximal(self):
         g = parse(PATH_3)
-        assert not is_alpha_maximal(g, (1,), 0.75)
+        assert is_alpha_maximal(g, (1,), 0.75) is None
 
     def test_full_triangle(self):
         g = parse("1 2 0.9\n2 3 0.9\n1 3 0.9\n")
         assert math.isclose(clique_probability(g, (0, 1, 2)), 0.729)
-        assert is_alpha_maximal(g, (0, 1, 2), 0.7)
+        assert is_alpha_maximal(g, (2, 0, 1), 0.7) == \
+            clique_probability(g, (0, 1, 2))
+
+    def test_below_alpha_is_not_maximal(self):
+        g = parse("1 2 0.9\n2 3 0.9\n1 3 0.9\n")
+        assert is_alpha_maximal(g, (0, 1, 2), 0.75) is None
 
     def test_non_clique_is_not_maximal(self):
         g = parse(PATH_3)
-        assert not is_alpha_maximal(g, (0, 2), 0.1)
+        assert is_alpha_maximal(g, (0, 2), 0.1) is None
 
     def test_empty_set_rejected(self):
         g = parse(PATH_3)

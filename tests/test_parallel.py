@@ -237,7 +237,7 @@ def test_dense_er_graph_matches_the_exact_reference(er200):
     out = []
     mule(er200, 0.05, out.append)
     assert ({c.vertices for c in out}
-            == exact_enumerate(er200, 0.05).vertex_sets())
+            == exact_enumerate(er200, 0.05))
 
 
 def test_one_worker_streams_into_a_pipe(monkeypatch):

@@ -77,14 +77,14 @@ def test_exact_enumerate_matches_fraction_brute_force(case):
     g, alpha = case
     kept = {c for c, q in exact_clique_products(g).items() if q >= alpha}
     maximal = {c for c in kept if not any(set(c) < set(d) for d in kept)}
-    assert exact_enumerate(g, alpha).vertex_sets() == maximal
+    assert exact_enumerate(g, alpha) == maximal
 
 
 @settings(max_examples=60, deadline=None)
 @given(uncertain_graphs(), alphas)
 def test_mule_matches_oracle(g, alpha):
     got = {c.vertices for c in run(mule, g, alpha)}
-    assert got == exact_enumerate(g, alpha).vertex_sets()
+    assert got == exact_enumerate(g, alpha)
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,10 +97,10 @@ def test_oracle_keeps_alpha_cliques_without_alpha_supersets(g, alpha):
         for combo in combinations(range(g.n), size):
             q = clique_probability_or_none(g, combo)
             if q is not None and q >= alpha:
-                found[frozenset(combo)] = (combo, q)
-    maximal = sorted(found[c] for c in found
-                     if not any(c < other for other in found))
-    assert exact_enumerate(g, alpha).cliques == tuple(maximal)
+                found[frozenset(combo)] = combo
+    maximal = {found[c] for c in found
+               if not any(c < other for other in found)}
+    assert exact_enumerate(g, alpha) == maximal
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,9 +171,9 @@ def test_filter_is_the_t_truss_of_the_alpha_subgraph(g, alpha, t):
         list(shared_neighborhood_filter(prune_by_alpha(g, alpha), alpha,
                                         t).edges())
     for u, v, p in kept.edges():
-        assert p >= alpha and p == g.edge_prob(u, v)
-        assert len(kept.adj_set(u) & kept.adj_set(v)) >= t - 2
-    for verts in exact_enumerate(g, alpha).vertex_sets():
+        assert p >= alpha and p == g.row(u)[v]
+        assert len(kept.row(u).keys() & kept.row(v).keys()) >= t - 2
+    for verts in exact_enumerate(g, alpha):
         if len(verts) >= t:
             assert all(v in kept.row(u) for u, v in combinations(verts, 2))
 
@@ -293,8 +293,7 @@ def test_dfs_noip_applies_the_size_threshold(g, alpha, t):
     sets = {c.vertices for c in got}
     assert count == len(got) == len(sets)
     assert sets == {c.vertices for c in want}
-    assert sets == {v for v in exact_enumerate(g, alpha).vertex_sets()
-                    if len(v) >= t}
+    assert sets == {v for v in exact_enumerate(g, alpha) if len(v) >= t}
 
 
 @settings(max_examples=60, deadline=None)
