@@ -9,15 +9,19 @@ so a worker joins each frame's labels once, and graph.format_batch, looked
 up in this module's globals at call time, adds each clique's last one or
 two labels.  A worker hands on its lines BUFFER_LINES at a time.
 
-One worker (one CPU, a live thread, no os.fork) searches every root in
-this process and writes each buffer straight to the output's descriptor,
-so the output streams, with no ledger, temporary file or fork.  Two or
-more share the search graph and its rows, built before the fork,
-copy-on-write.  Each, the parent among them, claims roots from a counter
-in a shared ledger file and writes their lines to its own temporary file,
+The roots are handed out in claims.  Claim 0, the roots up to the first
+that starts a search, is this process's at every worker count: it
+searches it first and writes each buffer straight to the output's
+descriptor, so the output streams from its first line.  One worker (one
+CPU, a live thread, no os.fork) has that one claim, every root, and no
+ledger, temporary file or fork.  Two or more share the search graph and
+its rows, built before the fork, copy-on-write.  Each of them (this
+process once claim 0 is written) claims further roots from a counter in
+a shared ledger file and writes their lines to its own temporary file,
 one segment per claim, recorded in the ledger.  Once every worker has
-finished, the parent copies the segments into the output in claim order,
-which is root order, so the output is byte for byte that of one worker.
+finished, this process copies those segments into the output in claim
+order, which is root order, so the output is byte for byte that of one
+worker.
 
 The counter is guarded by fcntl.lockf, which the kernel releases when its
 holder dies, so a worker that fails can never leave the others waiting.
@@ -36,8 +40,8 @@ import time
 from .algorithms import _enumerate, search_roots
 from .graph import UncertainGraph, format_batch
 
-_COUNTER = struct.Struct("q")  # ledger offset 0: the next claim to hand out
-_SEGMENT = struct.Struct("3q")  # per claim: worker, offset, length
+_COUNTER = struct.Struct("q")  # ledger slot 0: the next claim to hand out
+_SEGMENT = struct.Struct("3q")  # slot k >= 1: claim k's worker, offset, length
 BUFFER_LINES = 1024  # formatted lines a worker holds before it writes
 COPY_CHUNK = 1 << 16  # bytes per read and write; the buffer counts in RSS
 
@@ -76,52 +80,46 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim every
-    root after it.  One claim is searched here, with no fork.  Raises
+    root after it; one worker has one claim, every root.  Claim 0 is
+    searched here first, after any fork, and written straight to out; a
+    single claim makes no fork or temporary file.  Raises
     WorkerError, after killing and reaping the other workers, when one
     exits nonzero; it has printed its traceback to file descriptor 2.
     Raises OutputError when flushing or writing out fails; a failure on
     the spool side keeps its exception.
     """
     start = time.perf_counter()
+    ends = [g.n]  # claim k: roots ends[k - 1] (0 for k = 0) to ends[k] - 1
     if workers > 1:
         g.rows()  # built before the fork, so every worker shares them
         ends = [u + 1 for u in search_roots(g, t)][:-1] + [g.n]
         workers = min(workers, len(ends))
     _output(out.flush)
-    if workers > 1:
-        count = _fan_out(out.fileno(), g, alpha, t, ends, workers)
-    else:  # search here, writing straight to out
-        count = _work(g, alpha, t, lambda flush: range(g.n),
-                      lambda data: _send(out.fileno(), data))
-    return count, (time.perf_counter() - start) * 1000.0
-
-
-def _fan_out(out: int, g, alpha, t, ends, workers: int) -> int:
-    """Search the claims in `workers` processes, this one as worker 0,
-    then copy their segments to out; returns the lines copied."""
-    files = []  # the ledger, then one spool per worker
-    pids: list[int] = []
+    files, pids = [], []  # the ledger, then one spool per worker; worker pids
     try:
-        for _ in range(1 + workers):
-            files.append(tempfile.TemporaryFile())
-        ledger, spools = files[0].fileno(), files[1:]
-        os.ftruncate(ledger, _COUNTER.size + _SEGMENT.size * len(ends))
-
-        def work(w):
-            _spool(w, spools[w], ledger, ends, g, alpha, t)
-
-        for w in range(1, workers):
-            pids.append(_fork(work, w))
-        work(0)
-        while pids:
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            if code:
-                raise WorkerError(f"a search worker exited with status {code}")
-        segments = _SEGMENT.iter_unpack(os.pread(
-            ledger, _SEGMENT.size * len(ends), _COUNTER.size))
-        return sum(_copy(spools[w].fileno(), out, offset, offset + length)
-                   for w, offset, length in segments)
+        if workers > 1:
+            for _ in range(1 + workers):
+                files.append(tempfile.TemporaryFile())
+            ledger, spools = files[0].fileno(), files[1:]
+            os.pwrite(ledger, _COUNTER.pack(1), 0)  # claim 0 is taken
+            for w in range(1, workers):
+                pids.append(_fork(_spool, w, spools[w], ledger, ends, g,
+                                  alpha, t))
+        count = _work(g, alpha, t, lambda flush: range(ends[0]),
+                      lambda data: _send(out.fileno(), data))
+        if workers > 1:
+            _spool(0, spools[0], ledger, ends, g, alpha, t)
+            while pids:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if code:
+                    raise WorkerError(
+                        f"a search worker exited with status {code}")
+            segments = _SEGMENT.iter_unpack(os.pread(
+                ledger, _SEGMENT.size * (len(ends) - 1), _SEGMENT.size))
+            count += sum(_copy(spools[w].fileno(), out.fileno(), offset,
+                               offset + size) for w, offset, size in segments)
+        return count, (time.perf_counter() - start) * 1000.0
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -130,15 +128,15 @@ def _fan_out(out: int, g, alpha, t, ends, workers: int) -> int:
             fh.close()
 
 
-def _fork(work, w: int) -> int:
-    """Start worker w in a child process; returns its pid.  The child
+def _fork(work, *args) -> int:
+    """Run work(*args) in a child process; returns its pid.  The child
     ends only through os._exit, so it never returns into the caller's
     stack, runs no exit handler and flushes no buffer it inherited."""
     pid = os.fork()
     if pid:
         return pid
     try:
-        work(w)
+        work(*args)
         os._exit(0)
     except BaseException:
         import traceback  # only a failing worker pays for the import
@@ -155,10 +153,10 @@ def _spool(w, spool, ledger, ends, g, alpha, t) -> None:
     def claims(flush):
         while (k := _claim(ledger)) < len(ends):
             offset = spool.tell()
-            yield from range(ends[k - 1] if k else 0, ends[k])
+            yield from range(ends[k - 1], ends[k])
             flush()
             os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
-                      _COUNTER.size + _SEGMENT.size * k)
+                      _SEGMENT.size * k)
 
     _work(g, alpha, t, claims, spool.write)
     spool.flush()

@@ -616,6 +616,10 @@ class TestBench:
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/c-long.txt",
       "--alpha", "0.5"], "c-long.txt: line 2: line longer than 65536 "
      "characters"),
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5", "--min-size",
+      "0"], "--min-size must be >= 1"),
+    (["bench", "--input", "{graph}", "--alphas", "0.5", "--min-sizes",
+      "1,0", "--csv", "{tmp}/b.csv"], "--min-sizes entries must be >= 1"),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "bench-gen-unknown-family", "bench-gen-n-0",
@@ -630,7 +634,8 @@ class TestBench:
         "enumerate-id-5000-digits", "enumerate-coauthor-negative-5000-digits",
         "bench-gen-repeated-key", "bench-gen-key-not-read",
         "generate-flag-not-read", "generate-extremal-seed", "bench-seed",
-        "enumerate-long-line", "verify-long-line"])
+        "enumerate-long-line", "verify-long-line", "enumerate-min-size-0",
+        "bench-min-sizes-0"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, capsys, argv, message):
     # a clique line that repeats vertex 3 must not pass as the pair {3, 3}
     (tmp_path / "repeat.txt").write_text("1 3 3\n")

@@ -114,6 +114,15 @@ class TestErdosRenyi:
         assert pairs(gen_erdos_renyi(30, 0.4, seed=2)) == \
             pairs(gen_erdos_renyi(30, 0.4, seed=2))
 
+    @pytest.mark.parametrize("n, density, message", [
+        (5, -0.1, r"density must lie in \[0, 1\]"),
+        (5, 1.5, r"density must lie in \[0, 1\]"),
+        (0, 0.5, "n must be >= 1"),
+    ])
+    def test_rejects_bad_arguments(self, n, density, message):
+        with pytest.raises(ValueError, match=message):
+            gen_erdos_renyi(n, density, seed=0)
+
     @pytest.mark.parametrize("n", [1, 2, 40, 300])
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 3])

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -377,6 +378,11 @@ class TestUncertainGraph:
             UncertainGraph(2, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
             UncertainGraph(2, [(0, 1, 0.5), (1, 0, 0.4)])
+        with pytest.raises(ValueError, match="vertex count must be non-"):
+            UncertainGraph(-1, [])
+        with pytest.raises(ValueError, match="arrays of different lengths"):
+            UncertainGraph.from_arrays(2, array("q", [0]), array("q", [1, 1]),
+                                       array("d", [0.5]))
 
 
 def reference_check(n, edges, labels):

@@ -1,9 +1,9 @@
 """The claim loop of `umc enumerate` (umc.parallel) against the serial
 sink (cli._run_enumeration with graph.format_clique), which stays the
 reference: the bytes must be equal at one worker and at several, one
-worker must search in process and stream its output, a failing worker
-must end the run, and an output without a descriptor and `--algo
-dfs-noip` must take the sink.
+worker must search in process, claim 0 must stream at one worker and at
+two, a failing worker must end the run, and an output without a
+descriptor and `--algo dfs-noip` must take the sink.
 
 No test starts more processes than os.sched_getaffinity(0) allows, and
 every wait has a timeout."""
@@ -240,17 +240,21 @@ def test_dense_er_graph_matches_the_exact_reference(er200):
             == exact_enumerate(er200, 0.05))
 
 
-def test_one_worker_streams_into_a_pipe(monkeypatch):
-    """The search is held once BUFFER_LINES lines are formatted, and line 1
-    reaches the reader of the pipe before the hold is released."""
+def assert_streams_into_a_pipe(monkeypatch, workers):
+    """This process's search is held once it has formatted BUFFER_LINES
+    lines, and line 1 reaches the reader of the pipe before the hold is
+    released.  A forked worker is never held: it cannot see the event."""
     g = build_extremal_graph(16, 0.5)
     expected = serial_bytes(g, 0.5, 1)[1]
     release = threading.Event()
     formatted = 0
     real = parallel.format_batch
+    here = os.getpid()
 
     def held_format_batch(*args):
         nonlocal formatted
+        if os.getpid() != here:
+            return real(*args)
         if formatted >= parallel.BUFFER_LINES:
             release.wait(TIMEOUT_S)
         lines = real(*args)
@@ -263,7 +267,8 @@ def test_one_worker_streams_into_a_pipe(monkeypatch):
 
     def search(out):
         with out:
-            counts.append(parallel.enumerate_into(out, g, 0.5, 1, 1)[0])
+            counts.append(parallel.enumerate_into(out, g, 0.5, 1,
+                                                  workers)[0])
 
     with os.fdopen(r, "rb") as reader:
         thread = threading.Thread(target=search, args=(os.fdopen(w, "w"),))
@@ -281,6 +286,17 @@ def test_one_worker_streams_into_a_pipe(monkeypatch):
     assert held
     assert first + rest == expected
     assert counts == [expected.count(b"\n")]
+
+
+def test_one_worker_streams_into_a_pipe(monkeypatch):
+    assert_streams_into_a_pipe(monkeypatch, 1)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs two CPUs for a worker process")
+def test_two_workers_stream_claim_0_into_a_pipe(monkeypatch):
+    """Claim 0, root 0's C(15, 7) cliques, goes straight to the pipe
+    while a forked worker searches the later claims."""
+    assert_streams_into_a_pipe(monkeypatch, 2)
 
 
 @pytest.mark.parametrize("flags", [[], ["--min-size", "3"]],
@@ -614,7 +630,8 @@ sys.exit(cli.main(["enumerate", "--input", sys.argv[1], "--alpha", "0.5",
 
 @pytest.mark.skipif(CPUS < 2, reason="needs two CPUs for a worker process")
 def test_failed_spool_read_is_not_an_output_error(outputs, tmp_path):
-    # k16's first segment, the C(15, 7) cliques of root 0, is longer than
+    # Root 0's claim goes straight to the output, unspooled; the segment
+    # of root 1, its C(14, 7) = 3,432 cliques, is spooled and longer than
     # one chunk.
     proc = run_cli_script(SPOOL_READ_ERROR_RUN, outputs["k16"],
                           tmp_path / "c.txt")
