@@ -5,15 +5,15 @@ mule        incremental depth-first enumeration: each candidate carries a
             candidate, and maximality is decided from the candidate sets
             alone (no graph rescans).
 large_mule  size-thresholded variant: shared-neighborhood pre-filtering
-            plus a branch guard that skips subtrees too small to reach the
-            threshold t >= 1; mule is large_mule at t = 1.
+            (t >= 3) plus a branch guard that skips subtrees too small to
+            reach the threshold t >= 1; mule is large_mule at t = 1.
 dfs_noip    baseline that recomputes every clique probability from scratch
             and runs full maximality checks, and emits only the cliques
             of at least t vertices; kept for benchmarking.
 
 Every enumerator searches search_graph(g, alpha, t), which holds only
-the edges with p >= alpha: the alpha-subgraph (graph.prune_by_alpha) at
-t = 1, its t-truss (shared_neighborhood_filter) for t >= 2.  Both are
+the edges with p >= alpha: the alpha-subgraph (graph.prune_by_alpha) for
+t <= 2, its t-truss (shared_neighborhood_filter) for t >= 3.  Both are
 selected from g's edge arrays (UncertainGraph.select), so rows are built
 for the search graph alone, and the kernel tests no edge against alpha.
 mule and large_mule build each root vertex's frame straight from its
@@ -102,7 +102,8 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
     """Emit exactly the alpha-maximal cliques with at least t vertices;
     returns the count.
 
-    Searches search_graph(g, alpha, t) and prunes any branch where
+    Searches search_graph(g, alpha, t), the alpha-subgraph with no
+    pre-filtering for t <= 2, and prunes any branch where
     |C'| + |ext'| < t: that subtree cannot reach size t, and every
     surviving witness needed for maximality of a size->=t clique is
     preserved (on the path to such a clique the guard never fires).
@@ -130,12 +131,13 @@ def large_mule(g: UncertainGraph, alpha: float, t: int, sink: Sink, *,
 def search_graph(g: UncertainGraph, alpha: float, t: int) -> UncertainGraph:
     """The graph every search for g's alpha-maximal cliques with at least
     t vertices runs on; it holds only edges with p >= alpha, the only ones
-    such a clique can contain.  prune_by_alpha(g, alpha) at t = 1, g
-    itself when no edge lies below alpha; shared_neighborhood_filter(g,
-    alpha, t) for t >= 2."""
+    such a clique can contain.  prune_by_alpha(g, alpha) for t <= 2, g
+    itself when no edge lies below alpha: every alpha-edge is an
+    alpha-clique of two vertices, so the size filter drops none at t = 2.
+    shared_neighborhood_filter(g, alpha, t) for t >= 3."""
     if t < 1:
         raise ValueError("size threshold must be >= 1")
-    return (prune_by_alpha(g, alpha) if t == 1
+    return (prune_by_alpha(g, alpha) if t <= 2
             else shared_neighborhood_filter(g, alpha, t))
 
 

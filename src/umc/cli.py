@@ -114,13 +114,12 @@ def _check_alpha_arg(alpha: float) -> float:
 
 
 def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
-                     sink) -> tuple[int, float]:
+                     sink) -> int:
     """Emit g's alpha-maximal cliques with at least t vertices into sink,
     with one search call: dfs_noip when algo is "dfs-noip", else
     large_mule when t > 1 and mule at t = 1.  Each enumerator searches
     its own search graph (algorithms.search_graph) and applies t itself.
-    Returns the number of cliques sink received and the milliseconds
-    spent in the search, its search graph and sink included.
+    Returns the number of cliques sink received.
 
     The enumerators are looked up as module globals at call time, not
     through a table built at import, so a caller that replaces one on this
@@ -130,14 +129,11 @@ def _run_enumeration(g: UncertainGraph, algo: str, alpha: float, t: int,
     cmd_enumerate, calls the kernel directly and looks up format_batch
     itself.
     """
-    start = time.perf_counter()
     if algo == "dfs-noip":
-        count = dfs_noip(g, alpha, sink, t)
-    elif t > 1:
-        count = large_mule(g, alpha, t, sink)
-    else:
-        count = mule(g, alpha, sink)
-    return count, (time.perf_counter() - start) * 1000.0
+        return dfs_noip(g, alpha, sink, t)
+    if t > 1:
+        return large_mule(g, alpha, t, sink)
+    return mule(g, alpha, sink)
 
 
 def cmd_enumerate(args) -> int:
@@ -149,15 +145,18 @@ def cmd_enumerate(args) -> int:
     if out is None:  # the interpreter started with file descriptor 1 closed
         raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     workers = parallel.available_workers(out) if args.algo == "mule" else 0
+    # time_ms: from making the search graph to the last byte written,
+    # closing out included, on either path
+    start = time.perf_counter()
     if workers:  # the loaded graph goes before any row is built
         g = search_graph(g, alpha, args.min_size)
     try:
         try:
             if workers:
-                count, ms = parallel.enumerate_into(
+                count = parallel.enumerate_into(
                     out, g, alpha, args.min_size, workers)
             else:
-                count, ms = _run_enumeration(
+                count = _run_enumeration(
                     g, args.algo, alpha, args.min_size,
                     lambda c: out.write(format_clique(g, c) + "\n"))
             if not args.out:
@@ -175,6 +174,7 @@ def cmd_enumerate(args) -> int:
         if exc.errno == errno.EPIPE:
             return 1  # the reader closed early: end quietly, as on SIGPIPE
         raise UsageError(f"cannot write {args.out or 'stdout'}: {exc}")
+    ms = (time.perf_counter() - start) * 1000.0
     print(f"cliques={count} time_ms={ms:.3f}", file=sys.stderr)
     return 0
 
@@ -247,8 +247,8 @@ def cmd_generate(args) -> int:
 
 def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
     """Run one (graph, algo, alpha, t) cell; timing covers the search and
-    the making of its search graph (the alpha-select, or large_mule's size
-    filter), not loading."""
+    the making of its search graph (algorithms.search_graph), not
+    loading."""
     out_vertices = 0
     depth = 0
 
@@ -259,8 +259,9 @@ def _bench_cell(g: UncertainGraph, algo: str, alpha: float, t: int):
         if k > depth:
             depth = k
 
-    count, ms = _run_enumeration(g, algo, alpha, t, sink)
-    return count, out_vertices, ms, depth
+    start = time.perf_counter()
+    count = _run_enumeration(g, algo, alpha, t, sink)
+    return count, out_vertices, (time.perf_counter() - start) * 1000.0, depth
 
 
 def _from_spec(text: str, step, *args):

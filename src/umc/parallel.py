@@ -35,7 +35,6 @@ import signal
 import struct
 import tempfile
 import threading
-import time
 
 from .algorithms import _enumerate, search_roots
 from .graph import UncertainGraph, format_batch
@@ -69,14 +68,13 @@ def available_workers(out) -> int:
 
 
 def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
-                   workers: int) -> tuple[int, float]:
+                   workers: int) -> int:
     """Write the clique-stream lines (graph.format_clique's) of g's
     alpha-maximal cliques with at least t vertices to out's descriptor,
     in the order large_mule emits them, using at most `workers` (>= 1)
     processes, this one included.  g is taken as the search graph that
     algorithms.search_graph(..., alpha, t) made: no edge is tested
-    against alpha here.  Returns the clique count (the lines written) and
-    the milliseconds from the search to the last byte written.
+    against alpha here.  Returns the clique count (the lines written).
 
     One claim is handed out per root that starts a search; it also covers
     the roots just before it that start none, and the last claim every
@@ -88,7 +86,6 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     Raises OutputError when flushing or writing out fails; a failure on
     the spool side keeps its exception.
     """
-    start = time.perf_counter()
     ends = [g.n]  # claim k: roots ends[k - 1] (0 for k = 0) to ends[k] - 1
     if workers > 1:
         g.rows()  # built before the fork, so every worker shares them
@@ -119,7 +116,7 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                 ledger, _SEGMENT.size * (len(ends) - 1), _SEGMENT.size))
             count += sum(_copy(spools[w].fileno(), out.fileno(), offset,
                                offset + size) for w, offset, size in segments)
-        return count, (time.perf_counter() - start) * 1000.0
+        return count
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

@@ -367,7 +367,7 @@ class TestSearchGraph:
     def test_applied_twice(self, ba, t):
         h = search_graph(ba, self.ALPHA, t)
         again = search_graph(h, self.ALPHA, t)
-        if t == 1:
+        if t <= 2:
             assert again is h
         else:
             assert list(again.edges()) == list(h.edges())
@@ -377,6 +377,20 @@ class TestSearchGraph:
         assert search_graph(g, 0.5, 1) is g
         edgeless = UncertainGraph(3, [])
         assert search_graph(edgeless, 0.5, 1) is edgeless
+
+    def test_t2_is_the_alpha_subgraph(self, ba, monkeypatch):
+        # every alpha-edge is an alpha-clique of two vertices, so the
+        # size filter could drop none at t = 2 and is not called there
+        expected = prune_by_alpha(ba, self.ALPHA).edge_arrays()
+
+        def refuse(*args):
+            raise AssertionError("size filter called")
+        monkeypatch.setattr(algorithms, "shared_neighborhood_filter", refuse)
+        assert search_graph(ba, self.ALPHA, 2).edge_arrays() == expected
+        g = build_extremal_graph(8, 0.5)
+        assert search_graph(g, 0.5, 2) is g
+        with pytest.raises(AssertionError, match="size filter called"):
+            search_graph(ba, self.ALPHA, 3)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 import umc
+import umc.algorithms
 import umc.cli
 import umc.graph
 import umc.oracle
@@ -73,6 +75,24 @@ class TestEnumerate:
                       .splitlines())
         assert n_lines == (2 if min_size == "1" else 1)
         assert f"cliques={n_lines} " in captured.err
+
+    # capsys's stdout has no descriptor, so mule writes it serially
+    @pytest.mark.parametrize("target", ["--out", "stdout"],
+                             ids=["claim-loop", "serial-sink"])
+    def test_time_ms_covers_the_search_graph(self, path_graph, tmp_path,
+                                             capsys, monkeypatch, target):
+        real = umc.algorithms.prune_by_alpha
+
+        def slow(g, alpha):
+            time.sleep(0.2)
+            return real(g, alpha)
+        monkeypatch.setattr(umc.algorithms, "prune_by_alpha", slow)
+        where = ["--out", str(tmp_path / "c.txt")] if target == "--out" else []
+        rc = main(["enumerate", "--input", path_graph, "--alpha", "0.75",
+                   *where])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert float(err.split("time_ms=")[1]) >= 200
 
     @pytest.mark.parametrize("algo, min_size", [
         ("mule", "1"), ("mule", "3"), ("dfs-noip", "1")])

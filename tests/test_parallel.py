@@ -48,7 +48,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def serial_bytes(g, alpha, t):
     buf = io.StringIO()
-    count, _ = cli._run_enumeration(
+    count = cli._run_enumeration(
         g, "mule", alpha, t,
         lambda c: buf.write(cli.format_clique(g, c) + "\n"))
     return count, buf.getvalue().encode()
@@ -58,8 +58,8 @@ def parallel_bytes(g, alpha, t, workers=WORKERS):
     """The claim loop's count and bytes, as cmd_enumerate runs it: on
     g's search graph."""
     with tempfile.TemporaryFile("w") as out:
-        count, _ = parallel.enumerate_into(out, search_graph(g, alpha, t),
-                                           alpha, t, workers)
+        count = parallel.enumerate_into(out, search_graph(g, alpha, t),
+                                        alpha, t, workers)
         fd = out.fileno()
         return count, os.pread(fd, os.fstat(fd).st_size, 0)
 
@@ -267,8 +267,7 @@ def assert_streams_into_a_pipe(monkeypatch, workers):
 
     def search(out):
         with out:
-            counts.append(parallel.enumerate_into(out, g, 0.5, 1,
-                                                  workers)[0])
+            counts.append(parallel.enumerate_into(out, g, 0.5, 1, workers))
 
     with os.fdopen(r, "rb") as reader:
         thread = threading.Thread(target=search, args=(os.fdopen(w, "w"),))
