@@ -44,22 +44,23 @@ from operator import contains, le
 from typing import Callable
 
 from .graph import (
+    PROB_REL_TOL,
     Clique,
     UncertainGraph,
     check_alpha,
     clique_probability,
-    clique_probability_or_none,
     is_alpha_maximal,
     prune_by_alpha,
 )
 
 Sink = Callable[[Clique], None]
 
-REL_TOL = 1e-9  # factor drift tolerance in debug verification
-
 
 class InvariantViolation(AssertionError):
-    """A cached candidate factor disagrees with the direct product."""
+    """A frame breaks its contract under check_invariants (see
+    _check_frame): a cached product disagrees with the direct one or lies
+    below alpha, a candidate is out of place, or a vertex set the frame
+    claims as a clique is not one."""
 
 
 class _Frame:
@@ -309,28 +310,30 @@ def _has_inherited_witness(rows, m, q_m, u, q_new, excl, alpha):
 
 
 def _check_frame(g, clique, q, ext, excl, alpha):
-    """Debug verification: every cached factor must reproduce the directly
-    computed clique probability within REL_TOL, and satisfy the ordering
-    and threshold contracts of its set."""
-    direct_q = clique_probability(g, clique)
-    if abs(q - direct_q) > REL_TOL * direct_q:
-        raise InvariantViolation(f"q drift at {clique}: {q} vs {direct_q}")
+    """Debug verification of one frame against the definition: the
+    clique, each clique+(u,) for (u, r) in ext and each clique+(v,) for
+    (v, s) in excl must be a clique of g whose clique_probability the
+    cached product (q, q*r, q*s) reproduces within PROB_REL_TOL and which
+    reaches alpha; each u lies above max(clique), each v below it and
+    outside the clique.  Raises InvariantViolation at the first fault."""
+
+    def check(verts, cached):
+        direct = clique_probability(g, verts)
+        if (direct is None or abs(cached - direct) > PROB_REL_TOL * direct
+                or cached < alpha):
+            raise InvariantViolation(
+                f"product of {verts}: cached {cached}, direct {direct}")
+
+    check(clique, q)
     mx = clique[-1]
-    members = set(clique)
     for u, r in ext:
         if u <= mx:
             raise InvariantViolation(f"extension {u} not above max {mx}")
-        direct = clique_probability(g, clique + (u,))
-        if abs(q * r - direct) > REL_TOL * direct or q * r < alpha:
-            raise InvariantViolation(
-                f"extension factor drift at {clique}+{u}: {q * r} vs {direct}")
+        check(clique + (u,), q * r)
     for v, s in excl:
-        if v >= mx or v in members:
+        if v >= mx or v in clique:
             raise InvariantViolation(f"exclusion {v} out of place for {clique}")
-        direct = clique_probability(g, tuple(sorted(members | {v})))
-        if abs(q * s - direct) > REL_TOL * direct or q * s < alpha:
-            raise InvariantViolation(
-                f"exclusion factor drift at {clique}+{v}: {q * s} vs {direct}")
+        check(clique + (v,), q * s)
 
 
 def shared_neighborhood_filter(g: UncertainGraph, alpha: float,
@@ -417,7 +420,7 @@ def dfs_noip(g: UncertainGraph, alpha: float, sink: Sink, t: int = 1) -> int:
         mx = c[-1]
         row = g.row(mx)
         kept = [u for u in cand if u > mx and u in row
-                and (q := clique_probability_or_none(g, c + (u,))) is not None
+                and (q := clique_probability(g, c + (u,))) is not None
                 and q >= alpha]
         for v in kept:
             visit(c + (v,), kept)

@@ -31,6 +31,7 @@ from typing import TextIO
 from . import parallel
 from .algorithms import dfs_noip, large_mule, mule, search_graph
 from .graph import (
+    PROB_REL_TOL,
     GraphFormatError,
     UncertainGraph,
     check_alpha,
@@ -49,8 +50,6 @@ from .graph import (
 
 CSV_COLUMNS = ["graph", "algo", "alpha", "t", "count", "out_vertices",
                "ms", "depth"]
-
-PROB_REL_TOL = 1e-9
 
 # The enumerators `enumerate --algo` and `bench --algos` accept; a size
 # threshold t > 1 turns "mule" into large_mule.
@@ -141,7 +140,7 @@ def cmd_enumerate(args) -> int:
     if args.min_size < 1:
         raise UsageError("--min-size must be >= 1")
     g = _load_file(args.input, args.prob_model)
-    out: TextIO = _open_for_write(args.out) if args.out else sys.stdout
+    out: TextIO = sys.stdout if args.out is None else _open_for_write(args.out)
     if out is None:  # the interpreter started with file descriptor 1 closed
         raise UsageError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     workers = parallel.available_workers(out) if args.algo == "mule" else 0
@@ -159,21 +158,22 @@ def cmd_enumerate(args) -> int:
                 count = _run_enumeration(
                     g, args.algo, alpha, args.min_size,
                     lambda c: out.write(format_clique(g, c) + "\n"))
-            if not args.out:
+            if args.out is None:
                 out.flush()
         finally:
-            if args.out:
+            if args.out is not None:
                 out.close()  # its last flush can fail like any write
     # In the claim loop any other OSError is the spool files', not out's.
     except (parallel.OutputError if workers else OSError) as exc:
-        if not args.out:
+        if args.out is None:
             # What stdout still buffers goes to devnull, not to a failed flush.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())
             os.close(devnull)
         if exc.errno == errno.EPIPE:
             return 1  # the reader closed early: end quietly, as on SIGPIPE
-        raise UsageError(f"cannot write {args.out or 'stdout'}: {exc}")
+        where = "stdout" if args.out is None else args.out
+        raise UsageError(f"cannot write {where}: {exc}")
     ms = (time.perf_counter() - start) * 1000.0
     print(f"cliques={count} time_ms={ms:.3f}", file=sys.stderr)
     return 0
@@ -299,6 +299,11 @@ def cmd_bench(args) -> int:
         graphs.append((spec.label(),
                        functools.partial(_from_spec, text, spec.build)))
 
+    # Opening the CSV truncates it, so it must not be a graph still to load.
+    if os.path.isfile(args.csv) and any(
+            os.path.exists(path) and os.path.samefile(path, args.csv)
+            for path in args.input):
+        raise UsageError(f"--csv {args.csv} is also an --input")
     with _open_for_write(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

@@ -34,10 +34,6 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-class NotACliqueError(ValueError):
-    """A vertex set handed to a probability query is not fully connected."""
-
-
 class Clique(NamedTuple):
     """One unit of enumeration output: a sorted vertex tuple (internal
     indices) plus its clique probability."""
@@ -541,17 +537,19 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
 
-def clique_probability(g: UncertainGraph, c: Iterable[int]) -> float:
-    """Product of edge probabilities inside c; 1.0 for the empty set and
-    singletons.  Raises NotACliqueError when some pair is not an edge
-    (distinct from probability 0, which cannot occur)."""
-    q = clique_probability_or_none(g, c)
-    if q is None:
-        raise NotACliqueError(f"{sorted(set(c))} is not a clique")
-    return q
+# Two float products of one clique's m edge probabilities, taken in
+# different orders, differ by a relative error of at most about 2*m*2**-53;
+# this tolerance covers that for any clique of fewer than 4 million edges
+# (some 3,000 vertices).  umc verify and the check_invariants reference
+# mode compare a stated or cached product with clique_probability's by it.
+PROB_REL_TOL = 1e-9
 
 
-def clique_probability_or_none(g: UncertainGraph, c: Iterable[int]) -> float | None:
+def clique_probability(g: UncertainGraph, c: Iterable[int]) -> float | None:
+    """Product of edge probabilities inside c, taken row by row in
+    ascending vertex order; 1.0 for the empty set and singletons.  None
+    when some pair of c is not an edge (a product is never 0, as every
+    edge probability is above it)."""
     verts = sorted(set(c))
     q = 1.0
     for i, u in enumerate(verts):
@@ -568,14 +566,15 @@ def is_alpha_maximal(g: UncertainGraph, c: Iterable[int],
     """Definition-level check, independent of the enumerator: when c is
     an alpha-clique and no single vertex extends it to another
     alpha-clique, c's probability, clique_probability(g, c), so a caller
-    needs no second product; else None.  (Single-vertex extension
-    suffices by subset monotonicity.)  The result is truthy exactly when
-    c is alpha-maximal, as its probability is at least alpha > 0."""
+    needs no second product; else None, as for a c that is not a clique.
+    (Single-vertex extension suffices by subset monotonicity.)  The
+    result is truthy exactly when c is alpha-maximal, as its probability
+    is at least alpha > 0."""
     check_alpha(alpha)
     verts = tuple(sorted(set(c)))
     if not verts:
         raise ValueError("empty vertex set")
-    q = clique_probability_or_none(g, verts)
+    q = clique_probability(g, verts)
     if q is None or q < alpha:
         return None
     cset = set(verts)

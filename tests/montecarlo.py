@@ -16,7 +16,8 @@ def estimate_clique_probability(g: UncertainGraph, c, samples: int,
     internal edges of c appear.  Returns (estimate, standard error)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    clique_probability(g, c)  # raises NotACliqueError if not a clique
+    if clique_probability(g, c) is None:
+        raise ValueError(f"{sorted(set(c))} is not a clique")
     probs = [g.row(u)[v] for u, v in combinations(sorted(set(c)), 2)]
     rand = random.Random(seed).random
     hits = 0

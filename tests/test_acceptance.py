@@ -31,7 +31,7 @@ from umc.generators import (
     gen_barabasi_albert,
     gen_erdos_renyi,
 )
-from umc.graph import clique_probability, prune_by_alpha
+from umc.graph import PROB_REL_TOL, clique_probability, prune_by_alpha
 from montecarlo import estimate_clique_probability
 from umc.oracle import (
     build_extremal_graph,
@@ -39,7 +39,6 @@ from umc.oracle import (
     max_clique_count_bound,
 )
 
-REL_TOL = 1e-9
 ALPHAS = (0.2, 0.5, 0.8)
 DENSITIES = (0.3, 0.5, 0.8)
 SIZES = range(6, 13)
@@ -75,7 +74,7 @@ def test_criterion_1_oracle_equivalence(corpus):
         assert set(got) == oracle, label
         for verts, prob in got.items():
             direct = clique_probability(g, verts)
-            assert abs(prob - direct) <= REL_TOL * direct, label
+            assert abs(prob - direct) <= PROB_REL_TOL * direct, label
     _passed(f"1 oracle equivalence ({len(corpus)} instances)")
 
 
@@ -166,7 +165,7 @@ def test_criterion_5_baseline_equivalence(corpus):
 
 def test_criterion_6_incremental_integrity(corpus):
     # check_invariants recomputes every cached factor directly at every
-    # frame and raises on any relative error above 1e-9
+    # frame and raises on any relative error above PROB_REL_TOL (1e-9)
     for label, g, alpha, _out, _oracle in corpus:
         mule(prune_by_alpha(g, alpha), alpha, lambda c: None,
              check_invariants=True)

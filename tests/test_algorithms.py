@@ -15,12 +15,18 @@ from umc.algorithms import (
     mule,
     search_graph,
     shared_neighborhood_filter,
+    _check_frame,
     _enumerate,
     _filter,
 )
-from umc.cli import PROB_REL_TOL
 from umc.generators import GenSpec
-from umc.graph import UncertainGraph, dump_graph, load_graph, prune_by_alpha
+from umc.graph import (
+    PROB_REL_TOL,
+    UncertainGraph,
+    dump_graph,
+    load_graph,
+    prune_by_alpha,
+)
 from umc.oracle import build_extremal_graph, exact_enumerate
 
 
@@ -402,6 +408,33 @@ class TestSearchGraph:
         with pytest.raises(InvariantViolation):
             _enumerate(g, 0.85, lambda *out: None, range(g.n), 1,
                        check_invariants=True)
+
+
+class TestCheckFrame:
+    # Labels 1..4 are indices 0..3; 1 and 4 are not adjacent.
+    G = "1 2 0.9\n1 3 0.8\n2 3 0.9\n2 4 0.9\n3 4 0.9\n"
+    # The frame of {2, 3} at alpha 0.5: 4 extends it to a product of
+    # 0.729, 1 to one of 0.648.
+    FRAME = dict(clique=(1, 2), q=0.9, ext=[(3, 0.81)], excl=[(0, 0.72)],
+                 alpha=0.5)
+
+    def test_a_sound_frame_passes(self):
+        _check_frame(parse(self.G), **self.FRAME)
+
+    @pytest.mark.parametrize("fault", [
+        dict(q=0.95),
+        dict(ext=[(0, 0.72)]),
+        dict(excl=[(1, 1.0)]),
+        dict(excl=[(3, 0.81)]),
+        dict(ext=[(3, 0.9)]),
+        dict(excl=[(0, 0.8)]),
+        dict(clique=(0, 3), q=0.81, ext=[], excl=[]),
+    ], ids=["q-drift", "extension-not-above-max", "exclusion-in-clique",
+            "exclusion-above-max", "extension-factor-drift",
+            "exclusion-factor-drift", "not-a-clique"])
+    def test_a_corrupted_frame_raises(self, fault):
+        with pytest.raises(InvariantViolation):
+            _check_frame(parse(self.G), **{**self.FRAME, **fault})
 
 
 class TestDfsNoip:

@@ -249,9 +249,9 @@ class TestVerify:
     @pytest.mark.parametrize("complete", [[], ["--complete"]])
     def test_one_product_per_line(self, tmp_path, capsys, monkeypatch,
                                   complete):
-        # is_alpha_maximal and clique_probability both take their product
-        # through umc.graph.clique_probability_or_none; the exact
-        # reference takes none
+        # is_alpha_maximal takes its product through
+        # umc.graph.clique_probability and --complete calls it through
+        # umc.cli's binding; the exact reference takes none
         graph, cliques = tmp_path / "er30.txt", tmp_path / "c.txt"
         main(["generate", "--family", "er", "--n", "30", "--density", "0.5",
               "--seed", "1", "--out", str(graph)])
@@ -259,12 +259,13 @@ class TestVerify:
               "--out", str(cliques)])
         lines = len(cliques.read_text().splitlines())
         products = []
-        real = umc.graph.clique_probability_or_none
+        real = umc.graph.clique_probability
 
         def spy(g, c):
             products.append(c)
             return real(g, c)
-        monkeypatch.setattr(umc.graph, "clique_probability_or_none", spy)
+        monkeypatch.setattr(umc.graph, "clique_probability", spy)
+        monkeypatch.setattr(umc.cli, "clique_probability", spy)
         capsys.readouterr()
         assert main(["verify", "--input", str(graph), "--cliques",
                      str(cliques), "--alpha", "0.1", *complete]) == 0
@@ -538,6 +539,18 @@ class TestBench:
         assert main(["bench", *argv, "--csv", str(out)]) == 2
         assert not out.exists()
 
+    def test_an_input_named_as_the_csv_is_kept(self, path_graph, tmp_path,
+                                               capsys):
+        # opening the CSV would truncate the graph, here under another name
+        (tmp_path / "sub").mkdir()
+        other = tmp_path / "sub" / ".." / os.path.basename(path_graph)
+        data = Path(path_graph).read_bytes()
+        assert main(["bench", "--input", path_graph, "--alphas", "0.5",
+                     "--csv", str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --csv {other} is also an --input\n")
+        assert Path(path_graph).read_bytes() == data
+
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--input", "{graph}", "--cliques", "{tmp}/missing.txt",
@@ -640,6 +653,9 @@ class TestBench:
       "0"], "--min-size must be >= 1"),
     (["bench", "--input", "{graph}", "--alphas", "0.5", "--min-sizes",
       "1,0", "--csv", "{tmp}/b.csv"], "--min-sizes entries must be >= 1"),
+    # an empty path is a file that cannot be written, not stdout
+    (["enumerate", "--input", "{graph}", "--alpha", "0.5", "--out", ""],
+     "cannot write : "),
 ], ids=["verify-missing-cliques", "enumerate-out-dir", "generate-out-dir",
         "bench-csv-dir", "bench-alphas", "bench-min-sizes", "bench-large-mule",
         "bench-gen-odd-extremal", "bench-gen-unknown-family", "bench-gen-n-0",
@@ -655,7 +671,7 @@ class TestBench:
         "bench-gen-repeated-key", "bench-gen-key-not-read",
         "generate-flag-not-read", "generate-extremal-seed", "bench-seed",
         "enumerate-long-line", "verify-long-line", "enumerate-min-size-0",
-        "bench-min-sizes-0"])
+        "bench-min-sizes-0", "enumerate-out-empty"])
 def test_bad_user_input_exits_2(path_graph, tmp_path, capsys, argv, message):
     # a clique line that repeats vertex 3 must not pass as the pair {3, 3}
     (tmp_path / "repeat.txt").write_text("1 3 3\n")

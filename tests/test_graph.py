@@ -20,7 +20,6 @@ from umc.algorithms import shared_neighborhood_filter
 from umc.generators import GenSpec
 from umc.graph import (
     GraphFormatError,
-    NotACliqueError,
     UncertainGraph,
     clique_probability,
     dump_graph,
@@ -593,10 +592,10 @@ class TestCliqueProbability:
         assert clique_probability(g, ()) == 1.0
         assert clique_probability(g, (1,)) == 1.0
 
-    def test_non_clique_raises(self):
+    def test_non_clique_is_none(self):
         g = parse(PATH_3)
-        with pytest.raises(NotACliqueError):
-            clique_probability(g, (0, 2))
+        assert clique_probability(g, (0, 2)) is None
+        assert clique_probability(g, (2, 1, 0)) is None
 
 
 class TestIsAlphaMaximal:

@@ -61,7 +61,8 @@ def ba2000_shuffled(ba2000):
     """ba2000 without its header, its labels shuffled by a seeded
     permutation, so that they first appear out of order."""
     path = ba2000.with_name("ba2000-shuffled.txt")
-    edges = [ln.split() for ln in open(ba2000) if not ln.startswith("n ")]
+    with open(ba2000) as fh:
+        edges = [ln.split() for ln in fh if not ln.startswith("n ")]
     labels = sorted({int(x) for u, v, _ in edges for x in (u, v)})
     perm = labels[:]
     random.Random(1).shuffle(perm)

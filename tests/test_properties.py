@@ -18,9 +18,9 @@ from umc.algorithms import (
     shared_neighborhood_filter,
 )
 from umc.graph import (
+    PROB_REL_TOL,
     UncertainGraph,
     clique_probability,
-    clique_probability_or_none,
     is_alpha_maximal,
     prune_by_alpha,
 )
@@ -95,7 +95,7 @@ def test_oracle_keeps_alpha_cliques_without_alpha_supersets(g, alpha):
     found = {}
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
-            q = clique_probability_or_none(g, combo)
+            q = clique_probability(g, combo)
             if q is not None and q >= alpha:
                 found[frozenset(combo)] = combo
     maximal = {found[c] for c in found
@@ -111,7 +111,7 @@ def test_emissions_are_sound_and_unique(g, alpha):
     for c in out:
         assert is_alpha_maximal(g, c.vertices, alpha)
         direct = clique_probability(g, c.vertices)
-        assert abs(c.prob - direct) <= 1e-9 * direct
+        assert abs(c.prob - direct) <= PROB_REL_TOL * direct
 
 
 def emitted(fn, g, alpha, *args, **kwargs):
@@ -310,10 +310,10 @@ def test_subset_monotonicity(g):
     verts = tuple(range(g.n))
     for size in range(1, g.n + 1):
         for combo in combinations(verts, size):
-            qa = clique_probability_or_none(g, combo)
+            qa = clique_probability(g, combo)
             if qa is None:
                 continue
             for sub in combinations(combo, size - 1):
-                qb = clique_probability_or_none(g, sub)
+                qb = clique_probability(g, sub)
                 assert qb is not None
                 assert qb >= qa
