@@ -76,6 +76,16 @@ def _open_for_write(path: str, **kwargs) -> TextIO:
         raise UsageError(f"cannot write {path}: {exc}")
 
 
+def _refuse_overwrite(path: str | None, flag: str, inputs) -> None:
+    """Refuse a path to write that is the same existing regular file as
+    one of inputs: opening it would truncate a file still to be read.
+    Devices such as /dev/stdin and /dev/stdout are not refused."""
+    if path is not None and os.path.isfile(path) and any(
+            os.path.exists(src) and os.path.samefile(src, path)
+            for src in inputs):
+        raise UsageError(f"{flag} {path} is also an --input")
+
+
 def _parse_list(text: str, convert, flag: str) -> list:
     try:
         return [convert(tok) for tok in text.split(",")]
@@ -139,6 +149,7 @@ def cmd_enumerate(args) -> int:
     alpha = _check_alpha_arg(args.alpha)
     if args.min_size < 1:
         raise UsageError("--min-size must be >= 1")
+    _refuse_overwrite(args.out, "--out", [args.input])
     g = _load_file(args.input, args.prob_model)
     out: TextIO = sys.stdout if args.out is None else _open_for_write(args.out)
     if out is None:  # the interpreter started with file descriptor 1 closed
@@ -299,11 +310,7 @@ def cmd_bench(args) -> int:
         graphs.append((spec.label(),
                        functools.partial(_from_spec, text, spec.build)))
 
-    # Opening the CSV truncates it, so it must not be a graph still to load.
-    if os.path.isfile(args.csv) and any(
-            os.path.exists(path) and os.path.samefile(path, args.csv)
-            for path in args.input):
-        raise UsageError(f"--csv {args.csv} is also an --input")
+    _refuse_overwrite(args.csv, "--csv", args.input)
     with _open_for_write(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

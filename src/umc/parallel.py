@@ -15,21 +15,25 @@ searches it first and writes each buffer straight to the output's
 descriptor, so the output streams from its first line.  One worker (one
 CPU, a live thread, no os.fork) has that one claim, every root, and no
 ledger, temporary file or fork.  Two or more share the search graph and
-its rows, built before the fork, copy-on-write.  Each of them (this
-process once claim 0 is written) claims further roots from a counter in
-a shared ledger file and writes their lines to its own temporary file,
-one segment per claim, recorded in the ledger.  Once every worker has
-finished, this process copies those segments into the output in claim
-order, which is root order, so the output is byte for byte that of one
-worker.
+its rows, built before the fork, copy-on-write, and one ledger file, a
+table of one _SLOT per claim k >= 1 (slot k at byte _SLOT.size * (k - 1)),
+filled before the fork.  Each of them (this process once claim 0 is
+written) takes its next claim by reading one slot through the file offset
+they all share, writes the claim's lines to its own temporary file, and
+overwrites the slot it read with that segment.  Once every worker has
+finished, this process copies the segments the table lists into the
+output in claim order, which is root order, so the output is byte for
+byte that of one worker.
 
-The counter is guarded by fcntl.lockf, which the kernel releases when its
-holder dies, so a worker that fails can never leave the others waiting.
+A read() on a regular file is atomic with respect to its file offset
+(POSIX), and Linux serialises such reads for processes that share an open
+file description (since 3.14), so each slot is read exactly once, in
+ascending order.  No lock is held, so a worker that dies can never leave
+the others waiting.
 """
 
 from __future__ import annotations
 
-import fcntl
 import os
 import signal
 import struct
@@ -39,8 +43,7 @@ import threading
 from .algorithms import _enumerate, search_roots
 from .graph import UncertainGraph, format_batch
 
-_COUNTER = struct.Struct("q")  # ledger slot 0: the next claim to hand out
-_SEGMENT = struct.Struct("3q")  # slot k >= 1: claim k's worker, offset, length
+_SLOT = struct.Struct("4q")  # claim k; then its worker, spool offset, length
 BUFFER_LINES = 1024  # formatted lines a worker holds before it writes
 COPY_CHUNK = 1 << 16  # bytes per read and write; the buffer counts in RSS
 
@@ -80,7 +83,11 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
     the roots just before it that start none, and the last claim every
     root after it; one worker has one claim, every root.  Claim 0 is
     searched here first, after any fork, and written straight to out; a
-    single claim makes no fork or temporary file.  Raises
+    single claim makes no fork or temporary file.  With several claims,
+    the ledger's table holds one slot per claim k >= 1, written with
+    os.pwrite before the fork, so the offset the workers share stays at 0;
+    they (this process once claim 0 is written) read their claims from
+    it, and record each claim's segment in the slot they read.  Raises
     WorkerError, after killing and reaping the other workers, when one
     exits nonzero; it has printed its traceback to file descriptor 2.
     Raises OutputError when flushing or writing out fails; a failure on
@@ -98,7 +105,8 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
             for _ in range(1 + workers):
                 files.append(tempfile.TemporaryFile())
             ledger, spools = files[0].fileno(), files[1:]
-            os.pwrite(ledger, _COUNTER.pack(1), 0)  # claim 0 is taken
+            os.pwrite(ledger, b"".join(_SLOT.pack(k, 0, 0, 0)
+                                       for k in range(1, len(ends))), 0)
             for w in range(1, workers):
                 pids.append(_fork(_spool, w, spools[w], ledger, ends, g,
                                   alpha, t))
@@ -112,10 +120,10 @@ def enumerate_into(out, g: UncertainGraph, alpha: float, t: int,
                 if code:
                     raise WorkerError(
                         f"a search worker exited with status {code}")
-            segments = _SEGMENT.iter_unpack(os.pread(
-                ledger, _SEGMENT.size * (len(ends) - 1), _SEGMENT.size))
+            slots = _SLOT.iter_unpack(os.pread(
+                ledger, _SLOT.size * (len(ends) - 1), 0))
             count += sum(_copy(spools[w].fileno(), out.fileno(), offset,
-                               offset + size) for w, offset, size in segments)
+                               offset + size) for _, w, offset, size in slots)
         return count
     finally:
         for pid in pids:
@@ -145,15 +153,17 @@ def _fork(work, *args) -> int:
 
 
 def _spool(w, spool, ledger, ends, g, alpha, t) -> None:
-    """Worker w of several: claim, search, format and spool until no
-    claim is left, recording each claim's segment in the ledger."""
+    """Worker w of several: read the next slot of the ledger's claim
+    table, search, format and spool its claim, and overwrite the slot with
+    the claim's segment, until a read finds no slot left."""
     def claims(flush):
-        while (k := _claim(ledger)) < len(ends):
+        while slot := os.read(ledger, _SLOT.size):
+            k = _SLOT.unpack(slot)[0]
             offset = spool.tell()
             yield from range(ends[k - 1], ends[k])
             flush()
-            os.pwrite(ledger, _SEGMENT.pack(w, offset, spool.tell() - offset),
-                      _SEGMENT.size * k)
+            os.pwrite(ledger, _SLOT.pack(k, w, offset, spool.tell() - offset),
+                      _SLOT.size * (k - 1))
 
     _work(g, alpha, t, claims, spool.write)
     spool.flush()
@@ -186,17 +196,6 @@ def _work(g, alpha, t, roots, write) -> int:
     _enumerate(g, alpha, emit, roots(flush), t, check_invariants=False)
     flush()
     return sum(written)
-
-
-def _claim(ledger: int) -> int:
-    """The next claim number, taken under the ledger's lock."""
-    fcntl.lockf(ledger, fcntl.LOCK_EX)
-    try:
-        (k,) = _COUNTER.unpack(os.pread(ledger, _COUNTER.size, 0))
-        os.pwrite(ledger, _COUNTER.pack(k + 1), 0)
-    finally:
-        fcntl.lockf(ledger, fcntl.LOCK_UN)
-    return k
 
 
 def _copy(src: int, dst: int, offset: int, end: int) -> int:

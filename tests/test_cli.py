@@ -121,6 +121,23 @@ class TestEnumerate:
         assert rc == 0
         assert built == [tuple(map(list, kept.edge_arrays()))]
 
+    @pytest.mark.parametrize("via, flags", [
+        ("path", []), ("symlink", []), ("path", ["--algo", "dfs-noip"])],
+        ids=["path", "symlink", "dfs-noip"])
+    def test_an_input_named_as_the_out_is_kept(self, path_graph, tmp_path,
+                                               capsys, via, flags):
+        # the run would overwrite the graph with its own cliques
+        out = path_graph
+        if via == "symlink":
+            out = str(tmp_path / "link.txt")
+            os.symlink(path_graph, out)
+        data = Path(path_graph).read_bytes()
+        assert main(["enumerate", "--input", path_graph, "--alpha", "0.5",
+                     *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} is also an --input\n")
+        assert Path(path_graph).read_bytes() == data
+
     def test_min_size_filters(self, path_graph, tmp_path):
         out = tmp_path / "c.txt"
         rc = main(["enumerate", "--input", path_graph, "--alpha", "0.75",

@@ -3,19 +3,23 @@ sink (cli._run_enumeration with graph.format_clique), which stays the
 reference: the bytes must be equal at one worker and at several, one
 worker must search in process, claim 0 must stream at one worker and at
 two, a failing worker must end the run, and an output without a
-descriptor and `--algo dfs-noip` must take the sink.
+descriptor and `--algo dfs-noip` must take the sink.  The workers must
+take each claim of the ledger's claim table exactly once.
 
-No test starts more processes than os.sched_getaffinity(0) allows, and
-every wait has a timeout."""
+Through cmd_enumerate no test starts more processes than
+os.sched_getaffinity(0) allows; the claim-table tests start four and five
+workers whatever the CPU count.  Every wait has a timeout."""
 
 import errno
 import io
 import os
 import select
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -238,6 +242,65 @@ def test_dense_er_graph_matches_the_exact_reference(er200):
     mule(er200, 0.05, out.append)
     assert ({c.vertices for c in out}
             == exact_enumerate(er200, 0.05))
+
+
+def exit_codes(pids):
+    """The exit codes of the child processes pids; one still running
+    TIMEOUT_S after the first wait is killed."""
+    deadline = time.monotonic() + TIMEOUT_S
+    codes = []
+    for pid in pids:
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+            time.sleep(0.01)
+        codes.append(os.waitstatus_to_exitcode(done[1]))
+    return codes
+
+
+def test_forked_readers_take_each_claim_once():
+    """Four forked workers drain a claim table of 19,999 slots through
+    the shared file offset.  Claim k is root k of an edgeless graph, whose
+    one line is its singleton, so the spools together hold each claim's
+    line once, and each slot records the segment that holds its line."""
+    claims = 20_000  # claim 0 is not in the table
+    g = UncertainGraph(claims, [])
+    g.rows()
+    ends = list(range(1, claims + 1))
+    files = [tempfile.TemporaryFile() for _ in range(5)]
+    try:
+        ledger, spools = files[0].fileno(), files[1:]
+        os.pwrite(ledger, b"".join(parallel._SLOT.pack(k, 0, 0, 0)
+                                   for k in range(1, claims)), 0)
+        pids = [parallel._fork(parallel._spool, w, spools[w], ledger, ends,
+                               g, 0.5, 1) for w in range(4)]
+        assert exit_codes(pids) == [0] * 4
+        data = [os.pread(fh.fileno(), os.fstat(fh.fileno()).st_size, 0)
+                for fh in spools]
+        slots = list(parallel._SLOT.iter_unpack(
+            os.pread(ledger, parallel._SLOT.size * claims, 0)))
+    finally:
+        for fh in files:
+            fh.close()
+    lines = sorted(b"".join(data).splitlines(), key=lambda ln: int(ln[2:]))
+    assert lines == [f"1 {k + 1}".encode() for k in range(1, claims)]
+    assert len(slots) == claims - 1
+    for k, (claim, w, offset, size) in enumerate(slots, start=1):
+        assert claim == k
+        assert data[w][offset:offset + size] == f"1 {k + 1}\n".encode()
+
+
+@pytest.mark.parametrize("graph, alpha, t", [
+    ("k16", 0.5, 1), ("ba2000", 0.1, 4), ("er200", 0.05, 1)])
+def test_more_workers_than_cpus_write_the_bytes_of_one(graph, alpha, t,
+                                                      request):
+    """Six workers, more than the CPUs of a small machine, so that they
+    contend for the claim table, write what one worker writes."""
+    g = (build_extremal_graph(16, 0.5) if graph == "k16"
+         else request.getfixturevalue(graph))
+    expected = parallel_bytes(g, alpha, t, workers=1)
+    assert expected[0] > 0
+    assert parallel_bytes(g, alpha, t, workers=6) == expected
 
 
 def assert_streams_into_a_pipe(monkeypatch, workers):
